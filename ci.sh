@@ -1,15 +1,17 @@
 #!/usr/bin/env sh
 # Full CI gate: build, vet, simulation-aware lint, tests, the race
 # detector over the concurrent packages (broker, tracker, campaign
-# runner, metrics registry), a one-iteration micro-benchmark smoke (the
-# hot paths must at least still run; scripts/bench.sh measures them),
-# spec validation for the shipped example campaign specs, and three
-# end-to-end smokes: a mini spec-driven campaign must emit a metrics
-# snapshot that passes the schema validator, re-running it with -resume
-# over the completed results file must execute zero cases, and the
-# observability surface (trace-event export, live status endpoint,
-# black-box dumps) must produce valid, loadable artifacts. Any failure
-# fails the gate.
+# runner, metrics registry, and campaignd, whose HTTP handler runs the
+# runner's worker pool), a one-iteration micro-benchmark smoke (the hot
+# paths must at least still run; scripts/bench.sh measures them), spec
+# validation for the shipped example campaign specs, and the end-to-end
+# smokes: a mini spec-driven campaign must emit a metrics snapshot that
+# passes the schema validator, re-running it with -resume over the
+# completed results file must execute zero cases, the observability
+# surface (trace-event export, live status endpoint, black-box dumps)
+# must produce valid, loadable artifacts, and campaignd must serve a
+# repeat submission entirely from the store, bit-identical to a direct
+# run. Any failure fails the gate.
 set -eux
 
 tmpdir=$(mktemp -d)
@@ -27,7 +29,7 @@ go run ./cmd/uavlint -unused-suppressions -json ./... >"$tmpdir/lint.json" || {
 	exit 1
 }
 go test ./...
-go test -race ./internal/telemetry/ ./internal/sweep/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/
+go test -race ./internal/telemetry/ ./internal/sweep/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/ ./cmd/campaignd/
 go test -run XXX -bench Micro -benchtime=1x -benchmem .
 
 # Example campaign specs stay loadable and compilable.
@@ -77,13 +79,13 @@ go test -run 'TestStatusEndpointMidRun' ./cmd/campaign/
 
 # campaignd + content-addressed store smoke: start the daemon on a free
 # port, submit the mini grid twice — the second run must be >=95% cache
-# hits (here: 100%, zero misses) and its merged results file must
-# bit-compare equal to a direct cmd/campaign run of the same spec — then
-# submit the overlapping wider grid, which may simulate only the two new
-# duration cells.
+# hits (here: 100%, zero misses) and its results file must bit-compare
+# equal to a direct cmd/campaign run of the same spec and carry the same
+# header spec_hash — then submit the overlapping wider grid, which may
+# simulate only the two new duration cells.
 go build -o "$tmpdir/campaignd" ./cmd/campaignd
 "$tmpdir/campaignd" -addr 127.0.0.1:0 -addr-file "$tmpdir/campaignd.addr" \
-	-store "$tmpdir/store" -out-dir "$tmpdir/campaignd-out" -worker-procs 2 -q &
+	-store "$tmpdir/store" -out-dir "$tmpdir/campaignd-out" -q &
 CAMPAIGND_PID=$!
 for _ in $(seq 1 100); do
 	[ -s "$tmpdir/campaignd.addr" ] && break
@@ -97,6 +99,10 @@ grep -q '"cache_hit_ratio": 1' "$tmpdir/run2.json"
 warm_results=$(grep -o '"results_path": *"[^"]*"' "$tmpdir/run2.json" | cut -d'"' -f4)
 go run ./cmd/campaign -spec examples/specs/mini-grid.json -q -out "$tmpdir/direct.json"
 go run ./cmd/campaign -compare-results "$warm_results,$tmpdir/direct.json"
+warm_hash=$(grep -o '"spec_hash": *"[^"]*"' "$warm_results" | head -n 1 | cut -d'"' -f4)
+direct_hash=$(grep -o '"spec_hash": *"[^"]*"' "$tmpdir/direct.json" | head -n 1 | cut -d'"' -f4)
+test -n "$warm_hash"
+test "$warm_hash" = "$direct_hash"
 "$tmpdir/campaignd" -submit examples/specs/mini-grid-wide.json -addr "$CAMPAIGND_ADDR" | tee "$tmpdir/run3.json"
 grep -q '"cache_hits": 5' "$tmpdir/run3.json"
 grep -q '"cache_misses": 2' "$tmpdir/run3.json"

@@ -321,7 +321,7 @@ func run() int {
 		cases = plan.Run
 	}
 	fmt.Printf("campaign: %s: %d cases to run, seed %d\n", s, len(cases), s.Seed)
-	hdr := resultsHeader(s, runner)
+	hdr := runner.Header(s.Hash())
 
 	// Span tracer: one campaign root, the runner fills in the stage /
 	// prefix / batch / case tree. Cache hits from -resume become closed
@@ -346,19 +346,7 @@ func run() int {
 	// Live status endpoint: snapshot + SSE over the same registry the
 	// runner updates, plus /metrics and pprof. Binds (and fails) now.
 	if *statusAddr != "" {
-		effWorkers := *workers
-		if effWorkers <= 0 {
-			effWorkers = runtime.GOMAXPROCS(0)
-		}
-		src := core.NewStatusSource(reg, core.StatusConfig{
-			Total:      len(cases) + len(reused),
-			SpecHash:   hdr.SpecHash,
-			RNGPolicy:  hdr.RNGPolicy,
-			RunnerMode: hdr.RunnerMode,
-			BatchWidth: hdr.BatchWidth,
-			Workers:    effWorkers,
-			Clock:      clock,
-		})
+		src := core.NewStatusSource(reg, hdr.StatusConfig(len(cases)+len(reused), clock))
 		src.AddCached(len(reused))
 		closeStatus, err := serveStatus(*statusAddr, reg, src)
 		if err != nil {
@@ -549,28 +537,6 @@ func ensureParentDir(flagName, path string) error {
 		return fmt.Errorf("campaign: %s: creating parent directory: %w", flagName, err)
 	}
 	return nil
-}
-
-// resultsHeader captures how this run was configured — the metadata the
-// results file leads with so downstream comparisons never cross execution
-// modes silently.
-func resultsHeader(s spec.CampaignSpec, r *core.Runner) core.ResultsHeader {
-	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
-	mode, width := "scalar", 0
-	if r.Batch {
-		mode = "batch"
-		width = r.BatchWidth
-		if width <= 0 {
-			width = core.DefaultBatchWidth
-		}
-	}
-	return core.ResultsHeader{
-		SpecHash:   s.Hash(),
-		RNGPolicy:  pol.String(),
-		RunnerMode: mode,
-		BatchWidth: width,
-		Workers:    r.Workers,
-	}
 }
 
 // compareResultsFiles loads two results files ("a.json,b.json"), pairs

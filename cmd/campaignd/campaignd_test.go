@@ -12,155 +12,56 @@ import (
 	"testing"
 
 	"uavres/internal/core"
+	"uavres/internal/mission"
 	"uavres/internal/obs"
-	"uavres/internal/sim"
 	"uavres/internal/spec"
 	"uavres/internal/store"
 )
 
-// pipeWorker runs the real workerMain in-process over pipes, so the
-// protocol is exercised end to end without re-exec'ing a binary (which
-// under `go test` would be the test harness, not campaignd).
-func pipeWorker(t *testing.T) *workerProc {
-	t.Helper()
-	toWorker, fromCoord := io.Pipe()
-	toCoord, fromWorker := io.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- workerMain(context.Background(), toWorker, fromWorker) }()
-	return &workerProc{
-		enc: json.NewEncoder(fromCoord),
-		dec: json.NewDecoder(toCoord),
-		closeFn: func() {
-			fromCoord.Close()
-			if err := <-done; err != nil {
-				t.Errorf("workerMain: %v", err)
-			}
-		},
-	}
-}
-
-// TestWorkerProtocol drives init → ready → unit → results → EOF against
-// the real worker loop. The cases name a mission the scenario does not
-// have, so results come back instantly as per-case errors — the
-// protocol surface is identical to simulated results.
-func TestWorkerProtocol(t *testing.T) {
-	wp := pipeWorker(t)
-	init := workerInit{Config: sim.DefaultConfig(), Workers: 1, Checkpoint: true, Batch: true}
-	if err := wp.handshake(init); err != nil {
-		t.Fatal(err)
-	}
-	unit := workerUnit{Seq: 3, Cases: []core.Case{
-		{ID: "x1", MissionID: 99, Seed: 1},
-		{ID: "x2", MissionID: 99, Seed: 2},
-	}}
-	results, err := wp.do(unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Case.ID != "x1" || results[0].Err == "" {
-		t.Fatalf("unexpected results: %+v", results)
-	}
-	wp.close() // closes stdin; workerMain must exit cleanly on EOF
-}
-
-func TestWorkerRejectsUnitBeforeInit(t *testing.T) {
-	toWorker, fromCoord := io.Pipe()
-	_, fromWorker := io.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- workerMain(context.Background(), toWorker, fromWorker) }()
-	enc := json.NewEncoder(fromCoord)
-	if err := enc.Encode(workerRequest{Unit: &workerUnit{Seq: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "init") {
-		t.Fatalf("worker accepted a unit before init: %v", err)
-	}
-}
-
-// scriptedWorker is a protocol peer that fabricates deterministic
-// results instead of simulating, so coordinator tests run in
-// milliseconds. The fabricated result is a pure function of the case,
-// which makes warm-run bit-identity meaningful.
-func scriptedWorker() *workerProc {
-	toWorker, fromCoord := io.Pipe()
-	toCoord, fromWorker := io.Pipe()
-	go func() {
-		dec := json.NewDecoder(toWorker)
-		enc := json.NewEncoder(fromWorker)
-		for {
-			var req workerRequest
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			if req.Unit == nil {
-				continue
-			}
-			resp := workerResponse{Seq: req.Unit.Seq}
-			for _, c := range req.Unit.Cases {
-				resp.Results = append(resp.Results, fabricate(c))
-			}
-			if err := enc.Encode(resp); err != nil {
-				return
-			}
-		}
-	}()
-	return &workerProc{
-		enc:     json.NewEncoder(fromCoord),
-		dec:     json.NewDecoder(toCoord),
-		closeFn: func() { fromCoord.Close() },
-	}
-}
-
-func fabricate(c core.Case) core.CaseResult {
-	return core.CaseResult{
-		Case: c,
-		Result: sim.Result{
-			MissionID:         c.MissionID,
-			Injection:         c.Injection,
-			Outcome:           sim.OutcomeCompleted,
-			FlightDurationSec: float64(c.Seed) * 1.5,
-			DistanceKm:        3.25,
-			WaypointsReached:  4,
-			Diagnostics:       &sim.Diagnostics{MaxTiltDeg: 12.5, GPSFusions: 100},
-		},
-	}
-}
-
-// scriptedServer builds a coordinator whose worker pool is in-process
-// and whose handshake is skipped (scripted workers need no init).
-func scriptedServer(t *testing.T) (*server, *store.Store) {
+// newTestServer builds a quiet daemon over a fresh store on a stopped
+// clock; campaigns run real simulations on the in-process runner.
+func newTestServer(t *testing.T) (*server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s := newServer(st, t.TempDir(), 2, 1, true, obs.Stopped())
-	s.spawn = func(workerInit) (*workerProc, error) { return scriptedWorker(), nil }
-	return s, st
+	return newServer(st, t.TempDir(), true, obs.Stopped()), st
 }
 
+// demoSpec is shaped like examples/specs/mini-grid.json: one mission,
+// four gyro injections forked off one prefix plus the gold run.
 const demoSpec = `{
  "version": 1,
  "name": "campaignd-test",
- "missions": [1, 2],
+ "seed": 1,
+ "missions": [1],
  "matrix": {"targets": ["gyro"], "primitives": ["freeze", "zeros"], "durations_sec": [2, 5]}
 }`
 
+func postRun(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // TestRunColdThenWarm is the acceptance shape: the first submission
 // simulates everything, the second replays everything from the store,
-// and the two results files hold bit-identical cases.
+// and both results files hold, case by case, exactly what a direct
+// core.Runner run of the same compiled cases produces — full simulated
+// payloads included — under the spec hash cmd/campaign stamps.
 func TestRunColdThenWarm(t *testing.T) {
-	s, st := scriptedServer(t)
+	s, st := newTestServer(t)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 
 	post := func() runSummary {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(demoSpec))
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := postRun(t, ts.URL, demoSpec)
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode != http.StatusOK {
@@ -174,41 +75,59 @@ func TestRunColdThenWarm(t *testing.T) {
 	}
 
 	cold := post()
-	// 2 missions x (1 target x 2 primitives x 2 durations) + 2 gold = 10.
-	if cold.Cases != 10 || cold.CacheMisses != 10 || cold.CacheHits != 0 {
+	// 1 mission x (1 target x 2 primitives x 2 durations) + 1 gold = 5.
+	if cold.Cases != 5 || cold.CacheMisses != 5 || cold.CacheHits != 0 || cold.Failures != 0 {
 		t.Fatalf("cold run: %+v", cold)
 	}
-	if cold.Failures != 0 {
-		t.Fatalf("cold failures: %+v", cold)
+	if st.Stats().Objects != 5 {
+		t.Fatalf("store holds %d objects after cold run, want 5", st.Stats().Objects)
 	}
-	if st.Stats().Objects != 10 {
-		t.Fatalf("store holds %d objects after cold run, want 10", st.Stats().Objects)
-	}
-
 	warm := post()
-	if warm.CacheHits != 10 || warm.CacheMisses != 0 || warm.CacheHitRatio != 1 {
+	if warm.CacheHits != 5 || warm.CacheMisses != 0 || warm.CacheHitRatio != 1 {
 		t.Fatalf("warm run: %+v", warm)
 	}
 
-	// Bit-identity: same cases, same results, replayed from the store.
-	_, coldResults, err := core.LoadResultsFileWithHeader(cold.ResultsPath)
+	// The direct run: the same compiled, fingerprinted cases on a plain
+	// runner, which retains full payloads when no hook is wired.
+	cs := mustParse(t, demoSpec)
+	cases, err := cs.Compile(mission.Valencia())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warmResults, err := core.LoadResultsFileWithHeader(warm.ResultsPath)
-	if err != nil {
-		t.Fatal(err)
+	runner := core.NewRunner()
+	cs.Overrides.Apply(&runner.Config)
+	spec.AttachFingerprints(cases, runner.Config)
+	direct := runner.RunAll(context.Background(), cases)
+
+	// cmd/campaign hashes the spec after defaulting its scope to "all".
+	explicit := strings.Replace(demoSpec, `"durations_sec": [2, 5]`, `"durations_sec": [2, 5], "scope": "all"`, 1)
+	wantHash := mustParse(t, explicit).Hash()
+	if directHdr := runner.Header(cs.Hash()); cold.SpecHash != wantHash || directHdr.SpecHash != wantHash {
+		t.Errorf("spec hash %s (summary), %s (direct header); want %s", cold.SpecHash, directHdr.SpecHash, wantHash)
 	}
-	if len(coldResults) != 10 || len(warmResults) != 10 {
-		t.Fatalf("results files hold %d/%d cases, want 10/10", len(coldResults), len(warmResults))
-	}
-	byID := map[string]core.CaseResult{}
-	for _, cr := range warmResults {
-		byID[cr.Case.ID] = cr
-	}
-	for _, cr := range coldResults {
-		if !reflect.DeepEqual(cr, byID[cr.Case.ID]) {
-			t.Errorf("case %s differs between cold and warm run", cr.Case.ID)
+
+	for name, path := range map[string]string{"cold": cold.ResultsPath, "warm": warm.ResultsPath} {
+		hdr, got, err := core.LoadResultsFileWithHeader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr == nil || hdr.SpecHash != wantHash {
+			t.Errorf("%s results header %+v, want spec_hash %s", name, hdr, wantHash)
+		}
+		if len(got) != len(direct) {
+			t.Fatalf("%s results file holds %d cases, want %d", name, len(got), len(direct))
+		}
+		byID := map[string]core.CaseResult{}
+		for _, cr := range got {
+			byID[cr.Case.ID] = cr
+		}
+		for _, want := range direct {
+			if want.Result.Diagnostics == nil {
+				t.Fatalf("direct case %s carries no diagnostics", want.Case.ID)
+			}
+			if !reflect.DeepEqual(byID[want.Case.ID], want) {
+				t.Errorf("%s run: case %s differs from the direct run", name, want.Case.ID)
+			}
 		}
 	}
 
@@ -222,7 +141,7 @@ func TestRunColdThenWarm(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	if status.CacheHitRatio != 1 || !status.Done || status.CasesTotal != 10 {
+	if status.CacheHitRatio != 1 || !status.Done || status.CasesTotal != 5 || status.SpecHash != wantHash {
 		t.Errorf("status after warm run: %+v", status)
 	}
 
@@ -236,7 +155,7 @@ func TestRunColdThenWarm(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Objects != 10 {
+	if stats.Objects != 5 {
 		t.Errorf("store stats: %+v", stats)
 	}
 }
@@ -244,68 +163,48 @@ func TestRunColdThenWarm(t *testing.T) {
 // TestOverlappingGridRunsOnlyComplement: a wider grid over a warmed
 // store simulates exactly the new cells.
 func TestOverlappingGridRunsOnlyComplement(t *testing.T) {
-	s, _ := scriptedServer(t)
-	first, err := s.runCampaign(mustParse(t, demoSpec))
+	s, _ := newTestServer(t)
+	first, err := s.runCampaign(context.Background(), mustParse(t, demoSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.CacheMisses != 10 {
+	if first.CacheMisses != 5 {
 		t.Fatalf("first run: %+v", first)
 	}
-	// Same grid plus one extra duration: 2 missions x 2 primitives = 4
-	// new cells; everything else replays.
+	// Same grid plus one extra duration: 2 primitives = 2 new cells;
+	// everything else replays.
 	wider := strings.Replace(demoSpec, `"durations_sec": [2, 5]`, `"durations_sec": [2, 5, 10]`, 1)
-	second, err := s.runCampaign(mustParse(t, wider))
+	second, err := s.runCampaign(context.Background(), mustParse(t, wider))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Cases != 14 || second.CacheHits != 10 || second.CacheMisses != 4 {
+	if second.Cases != 7 || second.CacheHits != 5 || second.CacheMisses != 2 || second.Failures != 0 {
 		t.Fatalf("overlapping run did not simulate only the complement: %+v", second)
 	}
 }
 
-// TestRunFailedWorkersProduceErrorResults: when no worker can run a
-// unit, its cases land in the results file as errors — the campaign
-// completes, accounts for every case, and caches nothing bogus.
-func TestRunFailedWorkersProduceErrorResults(t *testing.T) {
-	s, st := scriptedServer(t)
-	s.spawn = func(workerInit) (*workerProc, error) {
-		// A worker that dies before answering its first unit.
-		toWorker, fromCoord := io.Pipe()
-		toCoord, fromWorker := io.Pipe()
-		go func() {
-			dec := json.NewDecoder(toWorker)
-			var req workerRequest
-			_ = dec.Decode(&req)
-			fromWorker.Close() // hang up instead of answering
-		}()
-		return &workerProc{
-			enc:     json.NewEncoder(fromCoord),
-			dec:     json.NewDecoder(toCoord),
-			closeFn: func() { fromCoord.Close() },
-		}, nil
-	}
-	sum, err := s.runCampaign(mustParse(t, demoSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Failures != 10 {
-		t.Fatalf("want all 10 cases failed, got %+v", sum)
+// TestRunBusyReturnsConflict: campaigns run one at a time, so a POST
+// while the slot is held is refused with 409 rather than queued.
+func TestRunBusyReturnsConflict(t *testing.T) {
+	s, st := newTestServer(t)
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+
+	s.runMu.Lock()
+	resp := postRun(t, ts.URL, demoSpec)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	s.runMu.Unlock()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("POST /run while busy: %d, want 409", resp.StatusCode)
 	}
 	if st.Stats().Objects != 0 {
-		t.Errorf("errored results were cached: %+v", st.Stats())
-	}
-	_, results, err := core.LoadResultsFileWithHeader(sum.ResultsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 10 {
-		t.Errorf("results file holds %d cases, want 10 errored", len(results))
+		t.Errorf("refused run stored results: %+v", st.Stats())
 	}
 }
 
 func TestRunRejectsBadSpecs(t *testing.T) {
-	s, _ := scriptedServer(t)
+	s, _ := newTestServer(t)
 	ts := httptest.NewServer(s.mux())
 	defer ts.Close()
 	for name, body := range map[string]string{
@@ -314,10 +213,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		"wrong version":   `{"version": 99}`,
 		"unknown mission": `{"version": 1, "missions": [42]}`,
 	} {
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := postRun(t, ts.URL, body)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {

@@ -405,6 +405,11 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 
 feed:
 	for _, u := range units {
+		// select picks at random among ready cases, so an idle worker
+		// would still get a unit after cancellation without this check.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			break feed
@@ -459,16 +464,15 @@ func casePrefixKey(c Case) prefixKey {
 	}
 }
 
-// sortPrefixKeys orders prefix keys by the lessPrefixKey total order that
-// makes prefix scheduling independent of map iteration order.
+// sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
+// scope, start), the total order that makes prefix scheduling
+// independent of map iteration order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		return lessPrefixKey(keys[i], keys[j])
 	})
 }
 
-// lessPrefixKey is the (mission, seed, airframe, family, scope, start)
-// total order shared by prefix scheduling and shard assignment.
 func lessPrefixKey(a, b prefixKey) bool {
 	if a.missionID != b.missionID {
 		return a.missionID < b.missionID

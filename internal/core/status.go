@@ -1,6 +1,10 @@
 package core
 
-import "uavres/internal/obs"
+import (
+	"runtime"
+
+	"uavres/internal/obs"
+)
 
 // Status is one point-in-time view of a running campaign, the payload of
 // cmd/campaign's -status-addr JSON and SSE endpoints. Every dynamic field
@@ -53,6 +57,25 @@ type StatusConfig struct {
 	// Clock supplies wall time for elapsed/ETA; nil means obs.Stopped()
 	// (elapsed stays zero, ETA still derives from case_seconds).
 	Clock obs.Clock
+}
+
+// StatusConfig returns the static facts for a campaign of total cases
+// run as h describes. A zero Workers (the runner's default pool) is
+// reported as the GOMAXPROCS the runner resolves it to.
+func (h ResultsHeader) StatusConfig(total int, clock obs.Clock) StatusConfig {
+	workers := h.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return StatusConfig{
+		Total:      total,
+		SpecHash:   h.SpecHash,
+		RNGPolicy:  h.RNGPolicy,
+		RunnerMode: h.RunnerMode,
+		BatchWidth: h.BatchWidth,
+		Workers:    workers,
+		Clock:      clock,
+	}
 }
 
 // StatusSource resolves the campaign instruments once and renders Status

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"uavres/internal/mathx"
 )
 
 // ResultsWriter streams campaign results as an incrementally written JSON
@@ -49,6 +51,29 @@ type ResultsHeader struct {
 	BatchWidth int `json:"batch_width,omitempty"`
 	// Workers is the pool size the campaign ran with.
 	Workers int `json:"workers,omitempty"`
+}
+
+// Header describes how r runs a campaign whose spec hashes to specHash
+// (spec.CampaignSpec.Hash): the metadata every entry point leads its
+// results file with, so downstream comparisons never cross execution
+// modes silently.
+func (r *Runner) Header(specHash string) ResultsHeader {
+	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
+	mode, width := "scalar", 0
+	if r.Batch {
+		mode = "batch"
+		width = r.BatchWidth
+		if width <= 0 {
+			width = DefaultBatchWidth
+		}
+	}
+	return ResultsHeader{
+		SpecHash:   specHash,
+		RNGPolicy:  pol.String(),
+		RunnerMode: mode,
+		BatchWidth: width,
+		Workers:    r.Workers,
+	}
 }
 
 // resultsElement is the read-side shape of one array element: either a

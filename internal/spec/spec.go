@@ -185,7 +185,10 @@ func Load(path string) (CampaignSpec, error) {
 	return Parse(data)
 }
 
-// Parse decodes and validates a spec from JSON bytes.
+// Parse decodes and validates a spec from JSON bytes. An omitted
+// matrix scope is filled in as "all", the value it compiles to, so the
+// spec hashes the same whichever entry point runs it (cmd/campaign's
+// -scope flag defaults to "all").
 func Parse(data []byte) (CampaignSpec, error) {
 	var s CampaignSpec
 	dec := json.NewDecoder(strings.NewReader(string(data)))
@@ -195,6 +198,9 @@ func Parse(data []byte) (CampaignSpec, error) {
 	}
 	if err := s.Validate(); err != nil {
 		return CampaignSpec{}, err
+	}
+	if s.Matrix.Scope == "" {
+		s.Matrix.Scope = "all"
 	}
 	return s, nil
 }

@@ -406,6 +406,24 @@ func TestSpecHashDistinguishesSpecs(t *testing.T) {
 	}
 }
 
+// TestParseFillsDefaultScope: a spec that omits the matrix scope hashes
+// like the same spec with "scope": "all" — the hash cmd/campaign stamps
+// after its -scope default — so every entry point names the spec alike.
+func TestParseFillsDefaultScope(t *testing.T) {
+	bare, err := Parse([]byte(`{"version": 1, "missions": [1], "matrix": {"targets": ["gyro"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoped, err := Parse([]byte(`{"version": 1, "missions": [1], "matrix": {"targets": ["gyro"], "scope": "all"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Matrix.Scope != "all" || bare.Hash() != scoped.Hash() {
+		t.Errorf("omitted scope parsed as %q, hash %s; want \"all\", hash %s",
+			bare.Matrix.Scope, bare.Hash(), scoped.Hash())
+	}
+}
+
 func TestCompileDuplicateIDRejected(t *testing.T) {
 	s := CampaignSpec{
 		Version:  1,
