@@ -17,20 +17,14 @@ import (
 	"testing"
 	"time"
 
-	"uavres/internal/bubble"
-	"uavres/internal/control"
 	"uavres/internal/core"
-	"uavres/internal/ekf"
 	"uavres/internal/faultinject"
 	"uavres/internal/lint"
 	"uavres/internal/mathx"
+	"uavres/internal/microbench"
 	"uavres/internal/mission"
 	"uavres/internal/mitigation"
-	"uavres/internal/obs"
-	"uavres/internal/physics"
-	"uavres/internal/sensors"
 	"uavres/internal/sim"
-	"uavres/internal/telemetry"
 )
 
 // benchSlice runs the campaign restricted to the given missions.
@@ -414,21 +408,6 @@ func BenchmarkMitigation(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroMitigation measures the pipeline's per-sample overhead —
-// it must be deployable at the 250 Hz IMU rate.
-func BenchmarkMicroMitigation(b *testing.B) {
-	p, err := mitigation.NewPipeline(mitigation.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sensors.IMUSample{Accel: mathx.V3(0.01, -0.02, -9.81), Gyro: mathx.V3(0.02, 0, 0.01)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Accel.X += 1e-9 // defeat the stuck guard: nominal streams are noisy
-		_, _ = p.Apply(s)
-	}
-}
-
 // BenchmarkUavlint lints the repository's own internal/ tree with the
 // full analyzer suite, so the static-analysis gate's cost shows up in
 // the perf trajectory alongside the simulation hot paths. The runner is
@@ -450,256 +429,11 @@ func BenchmarkUavlint(b *testing.B) {
 	}
 }
 
-// --- Substrate micro-benchmarks ---
-
-// BenchmarkMicroPhysicsStep measures one rigid-body integration step.
-func BenchmarkMicroPhysicsStep(b *testing.B) {
-	body, err := physics.NewBody(physics.DefaultParams(), physics.CalmWind())
-	if err != nil {
-		b.Fatal(err)
-	}
-	hover := physics.DefaultParams().HoverThrustFraction()
-	body.SetMotorCommands(physics.Rotors{hover, hover, hover, hover})
-	st := body.State()
-	st.Pos.Z = -20
-	body.SetState(st)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.Step(0.002)
-	}
-}
-
-// BenchmarkMicroEKFPredict measures one 15-state EKF prediction on the
-// exact per-step covariance path (k=1, comparable across report history).
-func BenchmarkMicroEKFPredict(b *testing.B) {
-	cfg := ekf.DefaultConfig()
-	cfg.CovarianceDecimation = 1
-	f := ekf.New(cfg)
-	s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.T = float64(i) * 0.004
-		f.Predict(s, 0.004)
-	}
-}
-
-// BenchmarkMicroEKFPredictDecimated measures one prediction under the
-// default decimated covariance path (k=4): three cheap transition
-// compositions amortized against one heavier flush.
-func BenchmarkMicroEKFPredictDecimated(b *testing.B) {
-	f := ekf.New(ekf.DefaultConfig())
-	s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.T = float64(i) * 0.004
-		f.Predict(s, 0.004)
-	}
-}
-
-// BenchmarkMicroEKFFuseGPS measures one GPS fusion (6 scalar updates).
-func BenchmarkMicroEKFFuseGPS(b *testing.B) {
-	f := ekf.New(ekf.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.FuseGPS(sensors.GPSSample{T: float64(i) * 0.2, Valid: true})
-	}
-}
-
-// BenchmarkMicroInjectorApply measures fault-corruption overhead per IMU
-// sample inside the fault window.
-func BenchmarkMicroInjectorApply(b *testing.B) {
-	j, err := faultinject.New(faultinject.Injection{
-		Primitive: faultinject.Random, Target: faultinject.TargetIMU,
-		Start: 0, Duration: time.Hour, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sensors.IMUSample{T: 1, Accel: mathx.V3(0, 0, -9.8)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = j.Apply(s)
-	}
-}
-
-// BenchmarkMicroMixerAllocate measures control allocation.
-func BenchmarkMicroMixerAllocate(b *testing.B) {
-	m := physics.NewMixer(physics.DefaultParams())
-	for i := 0; i < b.N; i++ {
-		_ = m.Allocate(14.7, mathx.V3(0.1, -0.1, 0.01))
-	}
-}
-
-// BenchmarkMicroIMUSampleVote measures the 250 Hz sensing step: sampling
-// all three redundant IMUs plus the cross-unit outlier vote.
-func BenchmarkMicroIMUSampleVote(b *testing.B) {
-	imus, err := sensors.NewRedundantIMUs(3, sensors.DefaultIMUSpec(), mathx.NewRand(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]sensors.IMUSample, 0, 3)
-	accel := mathx.V3(0, 0, -physics.Gravity)
-	gyro := mathx.V3(0.01, -0.02, 0.005)
-	cfg := sim.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		all := imus.SampleAllInto(buf, float64(i)*0.004, accel, gyro)
-		_ = sensors.VoteOutlier(all, imus.Primary(), cfg.VoteAccelTol, cfg.VoteGyroTol)
-	}
-}
-
-// BenchmarkMicroControlUpdate measures one full cascade pass (position,
-// velocity, attitude, and rate loops down to rotor commands).
-func BenchmarkMicroControlUpdate(b *testing.B) {
-	ctl := control.New(control.DefaultGains(), physics.DefaultParams(), 0.004)
-	est := control.Estimate{Att: mathx.QuatIdentity(), Vel: mathx.V3(1, 0, 0), Pos: mathx.V3(0, 0, -20)}
-	sp := control.Setpoint{Pos: mathx.V3(50, 10, -25), Yaw: 0.3, CruiseSpeed: 8, MaxClimb: 3, MaxDescend: 2}
-	gyro := mathx.V3(0.01, -0.02, 0.005)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = ctl.Update(0.004, est, gyro, sp)
-	}
-}
-
-// BenchmarkMicroBubbleObserve measures one tracker observation (nearest
-// point on route + dynamic outer bubble).
-func BenchmarkMicroBubbleObserve(b *testing.B) {
-	m := mission.Valencia()[4]
-	tr, err := bubble.NewTracker(m, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := mathx.V3(2100, 900, -15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Observe(float64(i), p, 3.3)
-	}
-}
-
-// BenchmarkMicroCodecRoundTrip measures telemetry encode+decode.
-func BenchmarkMicroCodecRoundTrip(b *testing.B) {
-	pos := telemetry.Position{TimeSec: 1, X: 2, Y: 3, Z: -15, VX: 1}
-	for i := 0; i < b.N; i++ {
-		f, err := telemetry.EncodePosition(uint8(i), 1, pos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw, err := f.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := telemetry.ReadFrameBytes(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMicroNormFloat64Polar measures one normal deviate under the
-// default Marsaglia polar sampler (two deviates per acceptance, one
-// cached as the spare).
-func BenchmarkMicroNormFloat64Polar(b *testing.B) {
-	r := mathx.NewRandPolicy(1, mathx.NormPolar)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.NormFloat64()
-	}
-}
-
-// BenchmarkMicroNormFloat64Ziggurat measures one normal deviate under the
-// 128-layer ziggurat sampler (inside-rectangle fast path ~98% of draws).
-func BenchmarkMicroNormFloat64Ziggurat(b *testing.B) {
-	r := mathx.NewRandPolicy(1, mathx.NormZiggurat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.NormFloat64()
-	}
-}
-
-// BenchmarkMicroSimTenSeconds measures ten full simulated vehicle-seconds
-// (physics + sensing + EKF + control + monitoring) per iteration — the
-// cost unit behind the campaign's wall-clock time.
-func BenchmarkMicroSimTenSeconds(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.MaxSimTime = 10 // the mission cannot finish in 10 s: fixed work
-	m := mission.Valencia()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, m, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMicroObsCounterInc measures the observability hot path: one
-// resolved-counter increment, the cost the flight-data recorder adds to
-// every 500 Hz physics step. Must stay 0 allocs/op.
-func BenchmarkMicroObsCounterInc(b *testing.B) {
-	c := obs.NewRegistry().Counter("steps")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-// BenchmarkMicroObsHistogramObserve measures one histogram observation
-// (bucket scan + two atomic adds + CAS sum). Must stay 0 allocs/op.
-func BenchmarkMicroObsHistogramObserve(b *testing.B) {
-	h := obs.NewRegistry().Histogram("lat", []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%37) * 0.1)
-	}
-}
-
-// BenchmarkMicroObsTraceAppend measures one trace-ring append (including
-// steady-state eviction once the ring is full). Must stay 0 allocs/op.
-func BenchmarkMicroObsTraceAppend(b *testing.B) {
-	tb := obs.NewTraceBuffer(obs.DefaultTraceCapacity)
-	e := obs.Event{Kind: obs.EventPhase, Detail: "2"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.T = float64(i)
-		tb.Append(e)
-	}
-}
-
-// BenchmarkMicroObsSpanStartEnd measures one campaign span open/close
-// pair — the per-case tracing cost every worker pays when -trace-out is
-// set. Must stay 0 allocs/op once the span slice has capacity.
-func BenchmarkMicroObsSpanStartEnd(b *testing.B) {
-	tr := obs.NewTracer(obs.Stopped(), 1<<16)
-	root := tr.Start("campaign", 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := tr.Start("case", root, obs.StrAttr("id", "m01-gold"))
-		tr.End(id)
-		if tr.Len() >= 1<<16 {
-			tr.Reset()
-			root = tr.Start("campaign", 0)
-		}
-	}
-}
-
-// BenchmarkMicroCoreStatusSnapshot measures one live-status render: the
-// cost each /status request (and SSE tick) puts on a running campaign.
-func BenchmarkMicroCoreStatusSnapshot(b *testing.B) {
-	reg := obs.NewRegistry()
-	src := core.NewStatusSource(reg, core.StatusConfig{
-		Total: 850, RunnerMode: "batch", BatchWidth: 32, Workers: 8,
-	})
-	reg.Counter("campaign_cases_total").Add(425)
-	reg.Histogram("campaign_case_seconds", nil).Observe(0.2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if st := src.Snapshot(); st.CasesTotal != 850 {
-			b.Fatal("bad snapshot")
-		}
+// BenchmarkMicro runs the substrate micro-benchmark table
+// (internal/microbench), the same entries cmd/bench reports in
+// BENCH_<date>.json.
+func BenchmarkMicro(b *testing.B) {
+	for _, m := range microbench.Table {
+		b.Run(m.Name, m.Run)
 	}
 }

@@ -4,14 +4,18 @@
 # runner, metrics registry, and campaignd, whose HTTP handler runs the
 # runner's worker pool), a one-iteration micro-benchmark smoke (the hot
 # paths must at least still run; scripts/bench.sh measures them), spec
-# validation for the shipped example campaign specs, and the end-to-end
-# smokes: a mini spec-driven campaign must emit a metrics snapshot that
-# passes the schema validator, re-running it with -resume over the
-# completed results file must execute zero cases, the observability
-# surface (trace-event export, live status endpoint, black-box dumps)
-# must produce valid, loadable artifacts, and campaignd must serve a
-# repeat submission entirely from the store, bit-identical to a direct
-# run. Any failure fails the gate.
+# validation for the shipped example campaign specs, the runner oracle
+# (the default runner's results on the hexa actuator mini-spec and
+# mission 1's gyro cases must equal straight sim.Run flights case by
+# case), and the end-to-end smokes: a mini spec-driven campaign must
+# emit a metrics snapshot that passes the schema validator, re-running
+# it with -resume over the completed results file must execute zero
+# cases, the observability surface (trace-event export, live status
+# endpoint, black-box dumps) must produce valid, loadable artifacts, and
+# campaignd must serve a repeat submission entirely from the store,
+# bit-identical to a direct run. Last, the micro-benchmark perf gate
+# compares a fresh report against the committed baseline. Any failure
+# fails the gate.
 set -eux
 
 tmpdir=$(mktemp -d)
@@ -40,12 +44,11 @@ go run ./cmd/campaign -validate-spec examples/specs/mini-grid-wide.json
 go run ./cmd/campaign -validate-spec examples/specs/redundancy-matrix.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-hexa-actuator.json
 
-# Airframe + actuator smoke: the hexa actuator mini-spec (rotor FDI and
-# allocation reconfig enabled) must run through both the lockstep batch
-# path and scalar forks with bit-identical results.
-go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa.json"
-go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa_scalar.json" -batch=false
-go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_scalar.json"
+# Runner oracle: the hexa actuator mini-spec (rotor FDI and allocation
+# reconfig enabled) and mission 1's gyro cases, run through the default
+# runner (shared prefixes, forks, lockstep batches), must equal straight
+# sim.Run flights case by case, full results compared.
+go test -count=1 -run 'TestDefaultRunnerMatchesSimRun' ./internal/core/
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the
@@ -54,12 +57,6 @@ go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.jso
 go run ./cmd/campaign -validate-metrics "$tmpdir/metrics.json"
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.json" -resume | tee "$tmpdir/resume.log"
 grep -q 'resume: .* 0 to run' "$tmpdir/resume.log"
-
-# Batch-vs-scalar equivalence smoke: the slice above ran through the
-# default lockstep batch path; re-run it with scalar forks and require
-# bit-identical results case-for-case.
-go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results_scalar.json" -batch=false
-go run ./cmd/campaign -compare-results "$tmpdir/results.json,$tmpdir/results_scalar.json"
 
 # Tracing + black-box smoke: mission 1's accelerometer cases include
 # crash and containment-violation outcomes, so this run must emit a
@@ -120,12 +117,11 @@ grep -q 'store_objects' "$tmpdir/store_metrics.json"
 go run ./cmd/campaign -compare-results "$tmpdir/store_direct.json,$tmpdir/direct.json"
 
 # Perf-regression gate against the committed bench report: measure a
-# fresh one and fail on >10% ns/op or any allocs/op regression (see
-# scripts/bench.sh -compare; campaign wall clock is only diffed when the
-# execution modes match). Set BENCH_BASELINE to override, or to "" to
-# skip.
+# fresh micro-benchmark report and fail on >10% ns/op or any allocs/op
+# regression (see scripts/bench.sh -compare). Set BENCH_BASELINE to
+# override, or to "" to skip.
 BENCH_BASELINE="${BENCH_BASELINE-BENCH_2026-08-08.json}"
 if [ -n "$BENCH_BASELINE" ]; then
-	go run ./cmd/bench -missions 1 -out "$tmpdir/bench_new.json"
+	go run ./cmd/bench -out "$tmpdir/bench_new.json"
 	go run ./cmd/bench -compare "$BENCH_BASELINE" "$tmpdir/bench_new.json"
 fi

@@ -1,18 +1,11 @@
-// Command bench measures the simulator's performance envelope and writes
-// a machine-readable BENCH_<date>.json: hot-path micro-benchmarks (ns/op,
-// allocs/op via testing.Benchmark) plus a timed campaign slice executed
-// four ways — straight through ("cold"), checkpoint-and-fork with scalar
-// forks ("checkpointed"), with lockstep fork batches
-// ("checkpointed-batch", the default campaign path and the headline
-// speedup), batched with covariance decimation disabled
-// ("checkpointed-k1"), and against a fresh content-addressed result
-// store, once populating it ("store-cold") and once replaying every
-// case from it ("store-warm") — to report the end-to-end speedup prefix
-// sharing, batching, and result caching buy.
+// Command bench measures the simulator's hot-path micro-benchmarks
+// (internal/microbench, ns/op and allocs/op via testing.Benchmark) and
+// writes them to a machine-readable BENCH_<date>.json. End-to-end
+// campaign timing lives in perfbench/.
 //
 // Usage:
 //
-//	bench [-missions N] [-workers N] [-out BENCH_2026-08-06.json]
+//	bench [-out BENCH_2026-08-06.json]
 //	bench -compare OLD.json NEW.json
 //
 // The -compare mode diffs two reports micro-by-micro and exits nonzero
@@ -21,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,17 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"uavres/internal/control"
-	"uavres/internal/core"
-	"uavres/internal/ekf"
-	"uavres/internal/mathx"
-	"uavres/internal/mission"
-	"uavres/internal/obs"
-	"uavres/internal/physics"
-	"uavres/internal/sensors"
-	"uavres/internal/sim"
-	"uavres/internal/spec"
-	"uavres/internal/store"
+	"uavres/internal/microbench"
 )
 
 // MicroResult is one micro-benchmark's outcome.
@@ -58,57 +40,9 @@ type MicroResult struct {
 	NsSpread float64 `json:"ns_spread,omitempty"`
 }
 
-// WallClockEntry is one timed execution mode of the campaign slice.
-type WallClockEntry struct {
-	// Mode is "cold" (straight through), "checkpointed"
-	// (checkpoint-and-fork, one scalar fork per case),
-	// "checkpointed-batch" (checkpoint-and-fork with lockstep fork
-	// batches — the default campaign path and the headline
-	// CheckpointSec), or "checkpointed-k1" (batched with covariance
-	// decimation disabled — the exact-path control).
-	Mode string  `json:"mode"`
-	Sec  float64 `json:"sec"`
-}
-
-// CampaignResult compares straight-through and checkpointed execution of
-// the same campaign slice.
-type CampaignResult struct {
-	Cases    int `json:"cases"`
-	Missions int `json:"missions"`
-	// Workers is the RESOLVED pool size actually used (the -workers flag
-	// after GOMAXPROCS defaulting and case-count clamping).
-	Workers int `json:"workers"`
-	// CovDecimation is the EKF covariance decimation factor the cold and
-	// checkpointed modes ran with (the sim default).
-	CovDecimation int `json:"cov_decimation"`
-	// RunnerMode names the execution mode behind the headline
-	// CheckpointSec/Speedup numbers: "batch" (lockstep fault-fork
-	// batches) or "scalar" (one fork per case). BatchWidth is the
-	// lockstep cap in batch mode. compareReports refuses to diff campaign
-	// wall clock across differing modes.
-	RunnerMode string `json:"runner_mode"`
-	BatchWidth int    `json:"batch_width,omitempty"`
-	// Airframe names the rotor layout the slice flew (empty in reports
-	// predating the airframe axis means quad-x). Wall-clock numbers are
-	// only comparable within one layout: rotor count changes the physics
-	// and allocation cost per tick.
-	Airframe  string           `json:"airframe,omitempty"`
-	WallClock []WallClockEntry `json:"wall_clock"`
-	ColdSec       float64          `json:"cold_sec"`
-	CheckpointSec float64          `json:"checkpoint_sec"`
-	Speedup       float64          `json:"speedup"`
-	// OutcomesMatch confirms cold and checkpointed modes produced
-	// identical outcomes and durations case-for-case (the fork-correctness
-	// bar, re-checked on the real workload).
-	OutcomesMatch bool `json:"outcomes_match"`
-	// DecimationOutcomesMatch confirms the decimated covariance path
-	// (k = CovDecimation) and the exact path (k = 1) reach identical
-	// verdicts on every case: outcome, bubble violations, and the
-	// crash/failsafe split.
-	DecimationOutcomesMatch bool `json:"decimation_outcomes_match"`
-}
-
-// Report is the emitted JSON document.
+// Report is the emitted JSON document. Reports written before the
+// campaign slice moved to perfbench/ also carry campaign, spec_hash and
+// rng_policy fields; they are ignored on load.
 type Report struct {
 	Date       string `json:"date"`
 	GoVersion  string `json:"go_version"`
@@ -117,17 +51,8 @@ type Report struct {
 	// MicroReps is how many repetitions each micro-benchmark ran; the
 	// reported ns/op is the minimum across them (host steal time only
 	// inflates a run, so the minimum is the least-biased estimator).
-	MicroReps int `json:"micro_reps,omitempty"`
-	// SpecHash identifies the campaign spec the timed slice derives from
-	// (the built-in paper-850 spec), so reports are only compared across
-	// identical experiment plans.
-	SpecHash string `json:"spec_hash,omitempty"`
-	// RNGPolicy is the environment normal-sampler policy the campaign
-	// slice ran under (the default, "polar"; the NormFloat64* micros
-	// measure both samplers regardless).
-	RNGPolicy string         `json:"rng_policy,omitempty"`
-	Micro     []MicroResult  `json:"micro"`
-	Campaign  CampaignResult `json:"campaign"`
+	MicroReps int           `json:"micro_reps,omitempty"`
+	Micro     []MicroResult `json:"micro"`
 }
 
 func main() {
@@ -136,10 +61,8 @@ func main() {
 
 func run() int {
 	var (
-		missions = flag.Int("missions", 2, "campaign slice size in missions (1-10; 10 = the paper's full 850 cases)")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		out      = flag.String("out", "", "output path (default BENCH_<date>.json)")
-		compare  = flag.Bool("compare", false, "compare two reports: bench -compare OLD.json NEW.json (exit 1 on regression)")
+		out     = flag.String("out", "", "output path (default BENCH_<date>.json)")
+		compare = flag.Bool("compare", false, "compare two reports: bench -compare OLD.json NEW.json (exit 1 on regression)")
 	)
 	flag.Parse()
 	if *compare {
@@ -149,12 +72,6 @@ func run() int {
 		}
 		return compareReports(flag.Arg(0), flag.Arg(1))
 	}
-	if *missions < 1 {
-		*missions = 1
-	}
-	if *missions > 10 {
-		*missions = 10
-	}
 
 	rep := Report{
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -162,31 +79,15 @@ func run() int {
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		MicroReps:  microReps,
-		SpecHash:   spec.Paper(1).Hash(),
-		RNGPolicy:  mathx.NormPolar.String(),
 	}
 
 	fmt.Println("bench: micro-benchmarks")
-	rep.Micro = microBenchmarks()
-	for _, m := range rep.Micro {
+	for _, m := range microbench.Table {
+		r := measure(m)
+		rep.Micro = append(rep.Micro, r)
 		fmt.Printf("  %-28s %12.0f ns/op %6d B/op %4d allocs/op\n",
-			m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
+			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-
-	fmt.Printf("bench: campaign slice (%d missions)\n", *missions)
-	camp, err := campaignSlice(*missions, *workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	rep.Campaign = camp
-	fmt.Printf("  %d cases, %d workers: cold %.1fs, checkpointed+batch %.1fs -> %.2fx speedup (outcomes match: %v)\n",
-		camp.Cases, camp.Workers, camp.ColdSec, camp.CheckpointSec, camp.Speedup, camp.OutcomesMatch)
-	for _, wc := range camp.WallClock {
-		fmt.Printf("    %-20s %6.1fs\n", wc.Mode, wc.Sec)
-	}
-	fmt.Printf("  covariance decimation k=%d vs exact k=1: outcomes match: %v\n",
-		camp.CovDecimation, camp.DecimationOutcomesMatch)
 
 	path := *out
 	if path == "" {
@@ -213,365 +114,32 @@ func run() int {
 // deterministic; any repetition serves.
 const microReps = 5
 
-// microBenchmarks runs the hot-path benchmarks in-process. They mirror
-// the BenchmarkMicro* functions in the repository's bench_test.go.
-func microBenchmarks() []MicroResult {
-	out := []MicroResult{}
-	add := func(name string, fn func(b *testing.B)) {
-		best := testing.Benchmark(fn)
-		bestNs := float64(best.T.Nanoseconds()) / float64(best.N)
-		worstNs := bestNs
-		for rep := 1; rep < microReps; rep++ {
-			r := testing.Benchmark(fn)
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if ns < bestNs {
-				best, bestNs = r, ns
-			}
-			if ns > worstNs {
-				worstNs = ns
-			}
+// measure runs one micro microReps times and keeps the fastest run.
+func measure(m microbench.Micro) MicroResult {
+	best := testing.Benchmark(m.Run)
+	bestNs := float64(best.T.Nanoseconds()) / float64(best.N)
+	worstNs := bestNs
+	for rep := 1; rep < microReps; rep++ {
+		r := testing.Benchmark(m.Run)
+		ns := float64(r.T.Nanoseconds()) / float64(r.N)
+		if ns < bestNs {
+			best, bestNs = r, ns
 		}
-		spread := 0.0
-		if bestNs > 0 {
-			spread = (worstNs - bestNs) / bestNs
+		if ns > worstNs {
+			worstNs = ns
 		}
-		out = append(out, MicroResult{
-			Name:        name,
-			NsPerOp:     bestNs,
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-			NsSpread:    spread,
-		})
 	}
-
-	// EKFPredict is pinned to the exact per-step covariance path (k=1) so
-	// the series stays comparable with reports predating decimation;
-	// EKFPredictDecimated measures the default flight configuration.
-	add("EKFPredict", func(b *testing.B) {
-		cfg := ekf.DefaultConfig()
-		cfg.CovarianceDecimation = 1
-		f := ekf.New(cfg)
-		s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.T = float64(i) * 0.004
-			f.Predict(s, 0.004)
-		}
-	})
-	add("EKFPredictDecimated", func(b *testing.B) {
-		f := ekf.New(ekf.DefaultConfig()) // default k=4
-		s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.T = float64(i) * 0.004
-			f.Predict(s, 0.004)
-		}
-	})
-	add("Mat15PropagateSym", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		_ = ekf.PropagateSymLoop(b.N)
-	})
-	add("PhysicsStep", func(b *testing.B) {
-		body, err := physics.NewBody(physics.DefaultParams(), physics.CalmWind())
-		if err != nil {
-			b.Fatal(err)
-		}
-		hover := physics.DefaultParams().HoverThrustFraction()
-		body.SetMotorCommands(physics.Rotors{hover, hover, hover, hover})
-		st := body.State()
-		st.Pos.Z = -20
-		body.SetState(st)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			body.Step(0.002)
-		}
-	})
-	add("IMUSampleVote", func(b *testing.B) {
-		imus, err := sensors.NewRedundantIMUs(3, sensors.DefaultIMUSpec(), mathx.NewRand(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]sensors.IMUSample, 0, 3)
-		accel := mathx.V3(0, 0, -physics.Gravity)
-		gyro := mathx.V3(0.01, -0.02, 0.005)
-		cfg := sim.DefaultConfig()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			all := imus.SampleAllInto(buf, float64(i)*0.004, accel, gyro)
-			_ = sensors.VoteOutlier(all, imus.Primary(), cfg.VoteAccelTol, cfg.VoteGyroTol)
-		}
-	})
-	add("ControlUpdate", func(b *testing.B) {
-		ctl := control.New(control.DefaultGains(), physics.DefaultParams(), 0.004)
-		est := control.Estimate{Att: mathx.QuatIdentity(), Vel: mathx.V3(1, 0, 0), Pos: mathx.V3(0, 0, -20)}
-		sp := control.Setpoint{Pos: mathx.V3(50, 10, -25), Yaw: 0.3, CruiseSpeed: 8, MaxClimb: 3, MaxDescend: 2}
-		gyro := mathx.V3(0.01, -0.02, 0.005)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, _ = ctl.Update(0.004, est, gyro, sp)
-		}
-	})
-	// The two normal-sampler policies behind every sensor/wind deviate:
-	// Marsaglia polar (the bit-compatible default) vs the 128-layer
-	// ziggurat.
-	add("NormFloat64Polar", func(b *testing.B) {
-		r := mathx.NewRandPolicy(1, mathx.NormPolar)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = r.NormFloat64()
-		}
-	})
-	add("NormFloat64Ziggurat", func(b *testing.B) {
-		r := mathx.NewRandPolicy(1, mathx.NormZiggurat)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = r.NormFloat64()
-		}
-	})
-	add("SimTenSeconds", func(b *testing.B) {
-		cfg := sim.DefaultConfig()
-		cfg.MaxSimTime = 10 // cannot finish in 10 s: fixed work per iter
-		m := mission.Valencia()[0]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(cfg, m, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("ObsCounterInc", func(b *testing.B) {
-		c := obs.NewRegistry().Counter("steps")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
-	add("ObsHistogramObserve", func(b *testing.B) {
-		h := obs.NewRegistry().Histogram("lat", []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Observe(float64(i%37) * 0.1)
-		}
-	})
-	add("ObsTraceAppend", func(b *testing.B) {
-		tb := obs.NewTraceBuffer(obs.DefaultTraceCapacity)
-		e := obs.Event{Kind: obs.EventPhase, Detail: "2"}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.T = float64(i)
-			tb.Append(e)
-		}
-	})
-	add("ObsSpanStartEnd", func(b *testing.B) {
-		tr := obs.NewTracer(obs.Stopped(), 1<<16)
-		root := tr.Start("campaign", 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := tr.Start("case", root, obs.StrAttr("id", "m01-gold"))
-			tr.End(id)
-			if tr.Len() >= 1<<16 {
-				// Recycle within preallocated capacity so the loop never
-				// measures slice growth, only the Start/End hot path.
-				tr.Reset()
-				root = tr.Start("campaign", 0)
-			}
-		}
-	})
-	add("CoreStatusSnapshot", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		src := core.NewStatusSource(reg, core.StatusConfig{
-			Total: 850, RunnerMode: "batch", BatchWidth: 32, Workers: 8,
-		})
-		reg.Counter("campaign_cases_total").Add(425)
-		reg.Histogram("campaign_case_seconds", nil).Observe(0.2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if st := src.Snapshot(); st.CasesTotal != 850 {
-				b.Fatal("bad snapshot")
-			}
-		}
-	})
-	return out
-}
-
-// campaignSlice times the first N missions' cases straight through and
-// with checkpoint-and-fork, verifying the two produce identical results,
-// then re-runs the checkpointed mode with covariance decimation disabled
-// to verify decimation changes no verdict.
-func campaignSlice(missions, workers int) (CampaignResult, error) {
-	scenario := mission.Valencia()[:missions]
-	cases := core.Plan(scenario, 1)
-
-	resolved := workers
-	if resolved <= 0 {
-		resolved = runtime.GOMAXPROCS(0)
+	spread := 0.0
+	if bestNs > 0 {
+		spread = (worstNs - bestNs) / bestNs
 	}
-	if resolved > len(cases) {
-		resolved = len(cases)
+	return MicroResult{
+		Name:        m.Name,
+		NsPerOp:     bestNs,
+		AllocsPerOp: best.AllocsPerOp(),
+		BytesPerOp:  best.AllocedBytesPerOp(),
+		NsSpread:    spread,
 	}
-
-	runMode := func(checkpoint, batch bool, covDecim int) ([]core.CaseResult, float64, error) {
-		r := core.NewRunner()
-		r.Missions = scenario
-		r.Workers = workers
-		r.Checkpoint = checkpoint
-		r.Batch = batch
-		if covDecim > 0 {
-			r.Config.EKF.CovarianceDecimation = covDecim
-		}
-		t0 := time.Now()
-		results := r.RunAll(context.Background(), cases)
-		elapsed := time.Since(t0).Seconds()
-		for _, cr := range results {
-			if cr.Err != "" {
-				return nil, 0, fmt.Errorf("case %s: %s", cr.Case.ID, cr.Err)
-			}
-		}
-		return results, elapsed, nil
-	}
-
-	cold, coldSec, err := runMode(false, false, 0)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	forked, cpSec, err := runMode(true, false, 0)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	batched, batchSec, err := runMode(true, true, 0)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	exact, exactSec, err := runMode(true, true, 1)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-
-	// Store-backed modes: the same batched execution over a fingerprinted
-	// copy of the plan against a fresh content-addressed store. The cold
-	// pass pays the Put cost on every case; the warm pass replays every
-	// case from disk without simulating — the wall-clock floor for an
-	// overlapping grid.
-	storeCases := make([]core.Case, len(cases))
-	copy(storeCases, cases)
-	spec.AttachFingerprints(storeCases, sim.DefaultConfig())
-	storeTmp, err := os.MkdirTemp("", "bench-store-")
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	defer os.RemoveAll(storeTmp)
-	st, err := store.Open(storeTmp)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	defer st.Close()
-	runStore := func() ([]core.CaseResult, float64, error) {
-		r := core.NewRunner()
-		r.Missions = scenario
-		r.Workers = workers
-		r.Cache = st
-		t0 := time.Now()
-		results := r.RunAll(context.Background(), storeCases)
-		elapsed := time.Since(t0).Seconds()
-		for _, cr := range results {
-			if cr.Err != "" {
-				return nil, 0, fmt.Errorf("case %s: %s", cr.Case.ID, cr.Err)
-			}
-		}
-		return results, elapsed, nil
-	}
-	_, storeColdSec, err := runStore()
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	warm, storeWarmSec, err := runStore()
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	if hits := st.Stats().Hits; hits != int64(len(cases)) {
-		return CampaignResult{}, fmt.Errorf("store-warm replayed %d/%d cases from the store", hits, len(cases))
-	}
-
-	// Both checkpointed modes — scalar forks and lockstep batches — must
-	// be BIT-identical to the straight-through runs.
-	bitIdentical := func(xs, ys []core.CaseResult) bool {
-		match := len(xs) == len(ys)
-		for i := 0; match && i < len(xs); i++ {
-			a, b := xs[i].Result, ys[i].Result
-			//lint:allow floatcmp forked runs must be BIT-identical to cold runs, not approximately equal
-			durEq := a.FlightDurationSec == b.FlightDurationSec
-			//lint:allow floatcmp forked runs must be BIT-identical to cold runs, not approximately equal
-			distEq := a.DistanceKm == b.DistanceKm
-			match = a.Outcome == b.Outcome && durEq && distEq &&
-				a.InnerViolations == b.InnerViolations &&
-				a.OuterViolations == b.OuterViolations
-		}
-		return match
-	}
-	match := bitIdentical(cold, forked) && bitIdentical(cold, batched) &&
-		bitIdentical(cold, warm)
-
-	// Decimation is a numerical approximation, so only the VERDICT fields
-	// must agree with the exact path: outcome, bubble violations, and the
-	// crash/failsafe split.
-	decimMatch := len(batched) == len(exact)
-	for i := 0; decimMatch && i < len(batched); i++ {
-		a, b := batched[i].Result, exact[i].Result
-		decimMatch = a.Outcome == b.Outcome &&
-			a.InnerViolations == b.InnerViolations &&
-			a.OuterViolations == b.OuterViolations &&
-			a.FailsafeCause == b.FailsafeCause &&
-			a.CrashReason == b.CrashReason
-	}
-
-	res := CampaignResult{
-		Cases:         len(cases),
-		Missions:      missions,
-		Workers:       resolved,
-		CovDecimation: sim.DefaultConfig().EKF.CovarianceDecimation,
-		RunnerMode:    "batch",
-		Airframe:      sim.DefaultConfig().Airframe.Layout.String(),
-		BatchWidth:    core.DefaultBatchWidth,
-		WallClock: []WallClockEntry{
-			{Mode: "cold", Sec: coldSec},
-			{Mode: "checkpointed", Sec: cpSec},
-			{Mode: "checkpointed-batch", Sec: batchSec},
-			{Mode: "checkpointed-k1", Sec: exactSec},
-			{Mode: "store-cold", Sec: storeColdSec},
-			{Mode: "store-warm", Sec: storeWarmSec},
-		},
-		ColdSec:                 coldSec,
-		CheckpointSec:           batchSec,
-		OutcomesMatch:           match,
-		DecimationOutcomesMatch: decimMatch,
-	}
-	if batchSec > 0 {
-		res.Speedup = coldSec / batchSec
-	}
-	return res, nil
-}
-
-// reportAirframe resolves a campaign result's rotor layout, treating the
-// empty value from pre-airframe reports as quad-x.
-func reportAirframe(c CampaignResult) string {
-	if c.Airframe == "" {
-		return physics.QuadX.String()
-	}
-	return c.Airframe
 }
 
 // compareReports diffs two bench reports and returns 1 when NEW regresses
@@ -609,11 +177,11 @@ func compareReports(oldPath, newPath string) int {
 
 	// Reports from different host windows (CPU count or toolchain) time
 	// different machines, not different code: the micro gate still runs
-	// (minimum-of-reps is fairly robust), but every wall-clock delta
-	// below is suspect. Warn loudly rather than silently diffing.
+	// (minimum-of-reps is fairly robust), but every ns/op delta below is
+	// suspect. Warn loudly rather than silently diffing.
 	if oldRep.NumCPU != newRep.NumCPU || oldRep.GoVersion != newRep.GoVersion {
 		fmt.Fprintf(os.Stderr,
-			"bench: WARNING: reports come from different host windows — wall-clock deltas are not comparable\n"+
+			"bench: WARNING: reports come from different host windows — ns/op deltas measure the machine, not only the code\n"+
 				"  old %s: num_cpu=%d go_version=%s\n"+
 				"  new %s: num_cpu=%d go_version=%s\n",
 			oldPath, oldRep.NumCPU, oldRep.GoVersion,
@@ -657,27 +225,6 @@ func compareReports(oldPath, newPath string) int {
 	}
 	for name := range oldBy {
 		fmt.Printf("  %-28s dropped from new report\n", name)
-	}
-
-	// Campaign wall clock is only comparable when the two reports timed
-	// the same experiment plan in the same execution mode — never compare
-	// across runner modes (or batch widths, worker counts, decimation
-	// factors) silently.
-	oc, nc := oldRep.Campaign, newRep.Campaign
-	sameMode := oldRep.SpecHash == newRep.SpecHash &&
-		oc.Cases == nc.Cases && oc.Workers == nc.Workers &&
-		oc.CovDecimation == nc.CovDecimation &&
-		oc.RunnerMode == nc.RunnerMode && oc.BatchWidth == nc.BatchWidth &&
-		reportAirframe(oc) == reportAirframe(nc)
-	if sameMode {
-		fmt.Printf("  campaign (%d cases, mode=%s): checkpointed %.1fs -> %.1fs, speedup %.2fx -> %.2fx\n",
-			nc.Cases, nc.RunnerMode, oc.CheckpointSec, nc.CheckpointSec, oc.Speedup, nc.Speedup)
-	} else {
-		fmt.Printf("  campaign: wall clock NOT compared — execution modes differ\n"+
-			"    old: cases=%d workers=%d k=%d mode=%q width=%d airframe=%s spec=%s\n"+
-			"    new: cases=%d workers=%d k=%d mode=%q width=%d airframe=%s spec=%s\n",
-			oc.Cases, oc.Workers, oc.CovDecimation, oc.RunnerMode, oc.BatchWidth, reportAirframe(oc), oldRep.SpecHash,
-			nc.Cases, nc.Workers, nc.CovDecimation, nc.RunnerMode, nc.BatchWidth, reportAirframe(nc), newRep.SpecHash)
 	}
 
 	if regressions > 0 {

@@ -9,15 +9,13 @@
 //
 // Usage:
 //
-//	campaign [-workers N] [-seed S] [-out results.json] [-checkpoint=false]
+//	campaign [-workers N] [-seed S] [-out results.json] [-scope all|primary]
 //	campaign -spec examples/specs/paper-850.json
 //	campaign -select mission=4,target=gyro -select "id=m07-*freeze*"
 //	campaign -resume -out results.json
 //	campaign -store out/store
 //	campaign -validate-spec examples/specs/paper-850.json
 //	campaign -print-spec
-//	campaign [-cov-decim K] [-cov-settle SEC] [-scope all|primary]
-//	campaign [-rng polar|ziggurat] [-batch=false] [-batch-width N]
 //	campaign -compare-results a.json,b.json
 //	campaign [-metrics-out metrics.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	campaign -validate-metrics metrics.json
@@ -28,8 +26,11 @@
 // With -store, fingerprint-stored cases replay from the shared
 // content-addressed result store (the same store campaignd serves)
 // instead of simulating; -resume is the results-file special case of
-// the same mechanism. The historical -subset alias was removed; use
-// -select "id=*SUBSTR*".
+// the same mechanism. Every campaign runs the engine's one execution
+// mode (shared prefixes, lockstep fork batches); the covariance
+// decimation factor, the post-fault settle window, and the environment
+// RNG policy are set in the spec's overrides (cov_decimation,
+// cov_settle_sec, rng_policy), never on the command line.
 package main
 
 import (
@@ -48,12 +49,9 @@ import (
 
 	"uavres/internal/blackbox"
 	"uavres/internal/core"
-	"uavres/internal/ekf"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/obs"
 	"uavres/internal/paperdata"
-	"uavres/internal/sim"
 	"uavres/internal/spec"
 	"uavres/internal/store"
 )
@@ -68,16 +66,9 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "campaign base seed (overrides the spec's seed when set explicitly)")
 		out        = flag.String("out", "campaign_results.json", "JSON results output path (empty = skip)")
 		specPath   = flag.String("spec", "", "campaign spec JSON path (empty = the built-in paper-850 spec)")
-		subset     = flag.String("subset", "", "REMOVED: use -select \"id=*SUBSTR*\"")
 		storeDir   = flag.String("store", "", "content-addressed result store directory: fingerprint-stored cases return as cache hits, fresh results are stored back (shared with campaignd)")
 		resume     = flag.Bool("resume", false, "load the -out results file and run only the missing, stale, or errored cases")
-		checkpoint = flag.Bool("checkpoint", true, "share pre-injection prefixes between cases (checkpoint-and-fork; false = simulate every case straight through)")
 		scope      = flag.String("scope", "all", "fault scope: all (paper assumption: every redundant IMU) | primary (unit 0 only — redundancy ablation)")
-		covDecim   = flag.Int("cov-decim", ekf.DefaultConfig().CovarianceDecimation, "EKF covariance decimation factor k: propagate covariance every k-th predict (1 = exact per-step path; faulted flights keep the exact path from launch through the fault window + settle margin)")
-		covSettle  = flag.Float64("cov-settle", sim.DefaultConfig().CovSettleSec, "seconds of full-rate covariance propagation kept after a fault window closes before decimation engages (only meaningful with -cov-decim > 1)")
-		rngPolicy  = flag.String("rng", "", "environment RNG policy: polar (the default sampler) | ziggurat (overrides the spec's rng_policy when set explicitly; the injector stream stays polar either way)")
-		batch      = flag.Bool("batch", true, "step each checkpoint group's forks in lockstep batches (false = one scalar fork per case)")
-		batchWidth = flag.Int("batch-width", 0, "max forks per lockstep batch (0 = the built-in default)")
 		faultmodel = flag.Bool("print-faultmodel", false, "print Table I (the fault model) and exit")
 		printSpec  = flag.Bool("print-spec", false, "print the effective campaign spec as JSON and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -107,10 +98,6 @@ func run() int {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	if *subset != "" || explicit["subset"] {
-		fmt.Fprintln(os.Stderr, "campaign: -subset was removed; use -select \"id=*SUBSTR*\"")
-		return 1
-	}
 	// -resume replays the -out file; with no file there is nothing to
 	// resume from. Fail before any compile or output prep happens.
 	if *resume && *out == "" {
@@ -251,33 +238,12 @@ func run() int {
 	start := time.Now()
 	clock := func() float64 { return time.Since(start).Seconds() }
 
-	if *covDecim < 1 {
-		fmt.Fprintf(os.Stderr, "campaign: -cov-decim %d < 1\n", *covDecim)
-		return 1
-	}
-	if _, err := mathx.ParseNormPolicy(*rngPolicy); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: -rng: %v\n", err)
-		return 1
-	}
 	reg := obs.NewRegistry()
 	runner := core.NewRunner()
 	runner.Workers = *workers
-	runner.Checkpoint = *checkpoint
-	runner.Batch = *batch
-	runner.BatchWidth = *batchWidth
 	runner.Obs = reg
 	runner.Clock = clock
-	// Config overrides layer: spec first, explicit CLI flags last.
 	s.Overrides.Apply(&runner.Config)
-	if explicit["cov-decim"] || s.Overrides.CovDecimation == nil {
-		runner.Config.EKF.CovarianceDecimation = *covDecim
-	}
-	if explicit["cov-settle"] || s.Overrides.CovSettleSec == nil {
-		runner.Config.CovSettleSec = *covSettle
-	}
-	if explicit["rng"] || s.Overrides.RNGPolicy == nil {
-		runner.Config.RNGPolicy = *rngPolicy
-	}
 
 	// Every case is stamped with its content hash under the final
 	// effective config — the cache key -resume and -store compare.
@@ -335,8 +301,6 @@ func run() int {
 		traceRoot = tracer.Start("campaign", 0,
 			obs.StrAttr("spec", hdr.SpecHash),
 			obs.StrAttr("rng", hdr.RNGPolicy),
-			obs.StrAttr("mode", hdr.RunnerMode),
-			obs.NumAttr("batch_width", float64(hdr.BatchWidth)),
 			obs.NumAttr("cases", float64(len(cases)+len(reused))))
 		core.MarkCachedCases(tracer, traceRoot, reused)
 		runner.Trace = tracer
@@ -540,9 +504,9 @@ func ensureParentDir(flagName, path string) error {
 }
 
 // compareResultsFiles loads two results files ("a.json,b.json"), pairs
-// cases by ID, and requires bit-identical results. This is the
-// batch-vs-scalar equivalence gate ci.sh runs; headers are printed but
-// allowed to differ — comparing across runner modes is the point.
+// cases by ID, and requires bit-identical results. ci.sh uses it to hold
+// campaignd's and the store-backed runs against a direct run; headers are
+// printed but allowed to differ.
 func compareResultsFiles(pair string) int {
 	parts := strings.Split(pair, ",")
 	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
@@ -553,7 +517,7 @@ func compareResultsFiles(pair string) int {
 		if h == nil {
 			return "no header"
 		}
-		return fmt.Sprintf("mode=%s width=%d rng=%s", h.RunnerMode, h.BatchWidth, h.RNGPolicy)
+		return fmt.Sprintf("spec=%s rng=%s", h.SpecHash, h.RNGPolicy)
 	}
 	ha, ra, err := core.LoadResultsFileWithHeader(parts[0])
 	if err != nil {

@@ -56,12 +56,10 @@ func TestStatusEndpointMidRun(t *testing.T) {
 	runner.Clock = clock
 
 	src := core.NewStatusSource(reg, core.StatusConfig{
-		Total:      len(cases),
-		SpecHash:   "test-hash",
-		RunnerMode: "batch",
-		BatchWidth: core.DefaultBatchWidth,
-		Workers:    2,
-		Clock:      clock,
+		Total:    len(cases),
+		SpecHash: "test-hash",
+		Workers:  2,
+		Clock:    clock,
 	})
 	mux := obs.MetricsMux(reg)
 	addStatusHandlers(mux, src)
@@ -99,7 +97,7 @@ func TestStatusEndpointMidRun(t *testing.T) {
 			return
 		}
 		st := getStatus()
-		if st.SpecHash != "test-hash" || st.RunnerMode != "batch" || st.CasesTotal != len(cases) {
+		if st.SpecHash != "test-hash" || st.Workers != 2 || st.CasesTotal != len(cases) {
 			t.Errorf("mid-run status lost static fields: %+v", st)
 		}
 	}

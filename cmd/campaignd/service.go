@@ -140,8 +140,8 @@ func (s *server) runCampaign(ctx context.Context, cs spec.CampaignSpec) (runSumm
 	if len(cases) == 0 {
 		return runSummary{}, errors.New("campaignd: spec selects no cases")
 	}
-	// Same override layering as cmd/campaign with default flags, so
-	// fingerprints — and therefore store hits — agree across entry points.
+	// Same override application as cmd/campaign, so fingerprints — and
+	// therefore store hits — agree across entry points.
 	runner := core.NewRunner()
 	cs.Overrides.Apply(&runner.Config)
 	spec.AttachFingerprints(cases, runner.Config)

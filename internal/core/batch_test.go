@@ -37,8 +37,8 @@ func TestRunnerBatchMatchesScalar(t *testing.T) {
 		r := NewRunner()
 		r.Missions = shortScenario()
 		r.Workers = 4
-		r.Batch = batch
-		r.BatchWidth = width
+		r.scalar = !batch
+		r.batchWidth = width
 		return r.RunAll(context.Background(), batchCases())
 	}
 

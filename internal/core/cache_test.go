@@ -13,8 +13,6 @@ func cachedRunner(reg *obs.Registry) *Runner {
 	r := NewRunner()
 	r.Missions = shortScenario()
 	r.Workers = 2
-	r.Checkpoint = true
-	r.Batch = true
 	r.Obs = reg
 	return r
 }

@@ -402,7 +402,7 @@ func TestRunnerCheckpointMatchesStraight(t *testing.T) {
 		r := NewRunner()
 		r.Missions = shortScenario()
 		r.Workers = 4
-		r.Checkpoint = checkpoint
+		r.straight = !checkpoint
 		return r.RunAll(context.Background(), mkCases())
 	}
 
@@ -482,7 +482,7 @@ func TestRunnerProgressContract(t *testing.T) {
 		r := NewRunner()
 		r.Missions = shortScenario()
 		r.Workers = 3
-		r.Checkpoint = checkpoint
+		r.straight = !checkpoint
 		var calls []progressRecord
 		r.Progress = func(done, total int) { calls = append(calls, progressRecord{done, total}) }
 		cases := progressCases()
@@ -499,7 +499,6 @@ func TestRunnerMetrics(t *testing.T) {
 	r := NewRunner()
 	r.Missions = shortScenario()
 	r.Workers = 2
-	r.Checkpoint = true
 	r.Obs = obs.NewRegistry()
 	var fake struct {
 		mu sync.Mutex

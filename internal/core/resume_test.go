@@ -227,7 +227,7 @@ func TestLoadPartialResultsHeaderOnly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			w := NewResultsWriter(&buf)
-			if err := w.WriteHeader(ResultsHeader{RunnerMode: "batch", BatchWidth: 32}); err != nil {
+			if err := w.WriteHeader(ResultsHeader{SpecHash: "abc123", RNGPolicy: "polar", Workers: 4}); err != nil {
 				t.Fatal(err)
 			}
 			if tc.closed {
@@ -255,7 +255,7 @@ func TestLoadPartialResultsHeaderOnly(t *testing.T) {
 func TestLoadPartialResultsCorruptHeader(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewResultsWriter(&buf)
-	if err := w.WriteHeader(ResultsHeader{RunnerMode: "batch"}); err != nil {
+	if err := w.WriteHeader(ResultsHeader{RNGPolicy: "polar"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range resumeResults() {

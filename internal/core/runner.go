@@ -17,6 +17,18 @@ import (
 
 // Runner executes campaign cases over a worker pool. Each case is an
 // independent, deterministic simulation, so the pool scales linearly.
+//
+// Every campaign runs one way: cases sharing a mission, environment seed,
+// airframe, injection family, scope, and start are simulated once up to
+// the injection point (a sim.Checkpoint), and the group's forks then step
+// in lockstep batches of up to DefaultBatchWidth (sim.Batch): one donor
+// vehicle draws the shared environment noise per tick and every fork
+// composes it. Outcomes are bit-identical to straight-through runs
+// (sim.TestForkBitIdentical, sim.TestBatchBitIdentical). Gold runs,
+// singletons, and groups whose prefix fails to build run straight
+// through; a batch that cannot be built falls back to one scalar fork
+// per case. With the paper's plan, the 84 faulty cases of each mission
+// share one 90-second prefix.
 type Runner struct {
 	// Config is the per-run simulation configuration (the Seed field is
 	// overridden per case).
@@ -37,25 +49,6 @@ type Runner struct {
 	// cases instead of O(cases) — the aggregate tables only read the flat
 	// outcome fields that remain.
 	OnResult func(CaseResult)
-	// Checkpoint enables checkpoint-and-fork execution: cases sharing a
-	// mission, environment seed, injection scope, and injection start are
-	// simulated once up to the injection point, then forked per case —
-	// each fork bit-identical to a straight-through run (see
-	// sim.TestForkBitIdentical). With the paper's plan, the 84 faulty
-	// cases of each mission share one 90-second prefix. The zero-value
-	// Runner runs every case straight through.
-	Checkpoint bool
-	// Batch additionally steps each prefix group's forks in lockstep
-	// (sim.Batch): one donor vehicle draws the shared environment noise
-	// once per tick and every fork composes it, eliminating the dominant
-	// per-fork NormFloat64 cost. Outcomes stay bit-identical to the scalar
-	// forked path (sim.TestBatchBitIdentical). Requires Checkpoint; groups
-	// without a checkpoint (gold runs, singletons) run scalar as before.
-	Batch bool
-	// BatchWidth caps how many forks share one lockstep batch; <= 0 means
-	// DefaultBatchWidth. Wider batches amortize the donor's draw cost over
-	// more forks at the price of more resident vehicles per worker.
-	BatchWidth int
 	// Obs, if non-nil, receives campaign-level metrics: case and outcome
 	// counters, fork/prefix accounting, and per-case/per-stage wall-clock
 	// timing. Nil disables instrumentation entirely.
@@ -82,6 +75,18 @@ type Runner struct {
 	// per-case payloads from the results slice it retains (the cache and
 	// any OnResult consumer own the full payloads).
 	Cache ResultCache
+
+	// The fields below force the fallback paths, so core's tests can
+	// hold the default execution against them as oracles.
+
+	// straight disables checkpoint-and-fork: every case runs straight
+	// through.
+	straight bool
+	// scalar runs one scalar fork per case instead of lockstep batches.
+	scalar bool
+	// batchWidth caps forks per lockstep batch; <= 0 means
+	// DefaultBatchWidth.
+	batchWidth int
 }
 
 // traceCtx bundles the tracer state one RunAll threads through its
@@ -200,14 +205,14 @@ func (m *runnerMetrics) observeCase(res CaseResult, forked bool, seconds float64
 	}
 }
 
-// DefaultBatchWidth is the lockstep batch cap when Runner.BatchWidth is
-// unset: wide enough to amortize the donor's draw cost to ~3% per fork,
-// small enough that a worker's resident vehicle set stays modest.
+// DefaultBatchWidth is the lockstep batch cap: wide enough to amortize
+// the donor's draw cost to ~3% per fork, small enough that a worker's
+// resident vehicle set stays modest.
 const DefaultBatchWidth = 32
 
 // NewRunner returns a runner with the default campaign configuration.
 func NewRunner() *Runner {
-	return &Runner{Config: sim.DefaultConfig(), Checkpoint: true, Batch: true}
+	return &Runner{Config: sim.DefaultConfig()}
 }
 
 // missionByID resolves a mission from the runner's scenario.
@@ -335,7 +340,7 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 	tc := traceCtx{tr: r.Trace, root: r.TraceRoot}
 
 	var checkpoints map[prefixKey]*sim.Checkpoint
-	if r.Checkpoint {
+	if !r.straight {
 		stageStart := r.now()
 		cpSpan := tc.tr.Start("stage:checkpoint", tc.root)
 		checkpoints, tc.prefix = r.prepareCheckpoints(ctx, cases, workers, metrics, tc)
@@ -592,19 +597,19 @@ func (r *Runner) prepareCheckpoints(ctx context.Context, cases []Case, workers i
 }
 
 // workUnits partitions the case indices into work units: singleton units
-// for scalar cases, and (when Batch is on) chunks of up to BatchWidth
-// indices per prefix group that has a checkpoint, to be stepped in
-// lockstep. Unit order is deterministic: singletons in input order, then
-// batch chunks in sorted prefix-key order.
+// for scalar cases, and (unless scalar forks are forced) chunks of up to
+// DefaultBatchWidth indices per prefix group that has a checkpoint, to be
+// stepped in lockstep. Unit order is deterministic: singletons in input
+// order, then batch chunks in sorted prefix-key order.
 func (r *Runner) workUnits(cases []Case, checkpoints map[prefixKey]*sim.Checkpoint) [][]int {
 	units := make([][]int, 0, len(cases))
-	if !r.Batch || len(checkpoints) == 0 {
+	if r.scalar || len(checkpoints) == 0 {
 		for i := range cases {
 			units = append(units, []int{i})
 		}
 		return units
 	}
-	width := r.BatchWidth
+	width := r.batchWidth
 	if width <= 0 {
 		width = DefaultBatchWidth
 	}

@@ -12,11 +12,9 @@ import (
 // producing a snapshot costs a handful of atomic loads and never touches
 // the worker pool.
 type Status struct {
-	SpecHash   string `json:"spec_hash,omitempty"`
-	RunnerMode string `json:"runner_mode"`
-	RNGPolicy  string `json:"rng_policy,omitempty"`
-	BatchWidth int    `json:"batch_width"`
-	Workers    int    `json:"workers"`
+	SpecHash  string `json:"spec_hash,omitempty"`
+	RNGPolicy string `json:"rng_policy,omitempty"`
+	Workers   int    `json:"workers"`
 
 	CasesTotal  int   `json:"cases_total"`
 	CasesDone   int64 `json:"cases_done"`
@@ -48,12 +46,10 @@ type Status struct {
 // the live counters.
 type StatusConfig struct {
 	// Total is the campaign's case count including resume-cached cases.
-	Total      int
-	SpecHash   string
-	RNGPolicy  string
-	RunnerMode string
-	BatchWidth int
-	Workers    int
+	Total     int
+	SpecHash  string
+	RNGPolicy string
+	Workers   int
 	// Clock supplies wall time for elapsed/ETA; nil means obs.Stopped()
 	// (elapsed stays zero, ETA still derives from case_seconds).
 	Clock obs.Clock
@@ -68,13 +64,11 @@ func (h ResultsHeader) StatusConfig(total int, clock obs.Clock) StatusConfig {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return StatusConfig{
-		Total:      total,
-		SpecHash:   h.SpecHash,
-		RNGPolicy:  h.RNGPolicy,
-		RunnerMode: h.RunnerMode,
-		BatchWidth: h.BatchWidth,
-		Workers:    workers,
-		Clock:      clock,
+		Total:     total,
+		SpecHash:  h.SpecHash,
+		RNGPolicy: h.RNGPolicy,
+		Workers:   workers,
+		Clock:     clock,
 	}
 }
 
@@ -149,11 +143,9 @@ func (s *StatusSource) Snapshot() Status {
 	cached := s.cached.Value()
 	done := run + cached
 	st := Status{
-		SpecHash:   s.cfg.SpecHash,
-		RunnerMode: s.cfg.RunnerMode,
-		RNGPolicy:  s.cfg.RNGPolicy,
-		BatchWidth: s.cfg.BatchWidth,
-		Workers:    s.cfg.Workers,
+		SpecHash:  s.cfg.SpecHash,
+		RNGPolicy: s.cfg.RNGPolicy,
+		Workers:   s.cfg.Workers,
 
 		CasesTotal:  s.cfg.Total,
 		CasesDone:   done,

@@ -36,44 +36,26 @@ func NewResultsWriter(w io.Writer) *ResultsWriter {
 
 // ResultsHeader is the run-metadata element a campaign can write as the
 // array's FIRST entry, wrapped as {"header": {...}} so readers can tell it
-// from a case result. It records how the results were produced — the
-// execution mode and the RNG policy — so two results files are never
-// compared across modes silently. LoadPartialResults skips header
-// elements, so resume works unchanged over headered files.
+// from a case result. It records which campaign produced the results and
+// under which RNG policy. LoadPartialResults skips header elements, so
+// resume works unchanged over headered files; readers ignore unknown
+// fields, so files from older builds (which also carried the runner's
+// execution mode) still load.
 type ResultsHeader struct {
 	// SpecHash identifies the compiled campaign (spec.CampaignSpec.Hash).
 	SpecHash string `json:"spec_hash,omitempty"`
 	// RNGPolicy is the environment sampler name ("polar" or "ziggurat").
 	RNGPolicy string `json:"rng_policy"`
-	// RunnerMode is "batch" (lockstep fork batches) or "scalar".
-	RunnerMode string `json:"runner_mode"`
-	// BatchWidth is the lockstep batch cap (0 when RunnerMode is scalar).
-	BatchWidth int `json:"batch_width,omitempty"`
 	// Workers is the pool size the campaign ran with.
 	Workers int `json:"workers,omitempty"`
 }
 
 // Header describes how r runs a campaign whose spec hashes to specHash
 // (spec.CampaignSpec.Hash): the metadata every entry point leads its
-// results file with, so downstream comparisons never cross execution
-// modes silently.
+// results file with.
 func (r *Runner) Header(specHash string) ResultsHeader {
 	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
-	mode, width := "scalar", 0
-	if r.Batch {
-		mode = "batch"
-		width = r.BatchWidth
-		if width <= 0 {
-			width = DefaultBatchWidth
-		}
-	}
-	return ResultsHeader{
-		SpecHash:   specHash,
-		RNGPolicy:  pol.String(),
-		RunnerMode: mode,
-		BatchWidth: width,
-		Workers:    r.Workers,
-	}
+	return ResultsHeader{SpecHash: specHash, RNGPolicy: pol.String(), Workers: r.Workers}
 }
 
 // resultsElement is the read-side shape of one array element: either a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,11 +47,9 @@ func TestResultsWriterRoundTrip(t *testing.T) {
 // LoadPartialResults skip it — and is rejected anywhere but first.
 func TestResultsWriterHeader(t *testing.T) {
 	hdr := ResultsHeader{
-		SpecHash:   "abc123",
-		RNGPolicy:  "ziggurat",
-		RunnerMode: "batch",
-		BatchWidth: 32,
-		Workers:    4,
+		SpecHash:  "abc123",
+		RNGPolicy: "ziggurat",
+		Workers:   4,
 	}
 	res := mkResult(1, nil, sim.OutcomeCompleted, 0, 0, 490, 3.6)
 	var buf bytes.Buffer
@@ -94,6 +93,14 @@ func TestResultsWriterHeader(t *testing.T) {
 	}
 	if len(partial) != 1 || partial[0].Case.ID != res.Case.ID {
 		t.Errorf("resume load over headered file: %+v", partial)
+	}
+
+	// Files from older builds also recorded the runner's execution mode;
+	// the unknown fields are ignored and the rest of the header survives.
+	legacy := `[{"header": {"spec_hash": "abc123", "rng_policy": "ziggurat", "runner_mode": "batch", "batch_width": 32, "workers": 4}}]`
+	got, out, err = LoadResultsWithHeader(strings.NewReader(legacy))
+	if err != nil || len(out) != 0 || got == nil || *got != hdr {
+		t.Errorf("legacy header: got %+v, %d results, err %v; want %+v", got, len(out), err, hdr)
 	}
 }
 

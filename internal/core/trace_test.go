@@ -25,8 +25,8 @@ func tracedRun(t *testing.T, batch bool, workers int) (*obs.Tracer, []CaseResult
 	r := NewRunner()
 	r.Missions = shortScenario()
 	r.Workers = workers
-	r.Batch = batch
-	r.BatchWidth = 8 // split the 21-case prefix group into several chunks
+	r.scalar = !batch
+	r.batchWidth = 8 // split the 21-case prefix group into several chunks
 	r.Clock = tickClock()
 	r.Trace = obs.NewTracer(tickClock(), 256)
 	r.TraceRoot = r.Trace.Start("campaign", 0, obs.StrAttr("spec", "test"))
@@ -179,12 +179,10 @@ func TestStatusSourceSnapshot(t *testing.T) {
 	r.Clock = tickClock()
 	cases := batchCases()
 	src := NewStatusSource(reg, StatusConfig{
-		Total:      len(cases) + 2, // pretend 2 cases came from the resume cache
-		SpecHash:   "abc",
-		RunnerMode: "batch",
-		BatchWidth: DefaultBatchWidth,
-		Workers:    2,
-		Clock:      tickClock(),
+		Total:    len(cases) + 2, // pretend 2 cases came from the resume cache
+		SpecHash: "abc",
+		Workers:  2,
+		Clock:    tickClock(),
 	})
 
 	idle := src.Snapshot()
@@ -217,7 +215,7 @@ func TestStatusSourceSnapshot(t *testing.T) {
 	if st.Completed != completed {
 		t.Errorf("status completed = %d, results say %d", st.Completed, completed)
 	}
-	if st.SpecHash != "abc" || st.RunnerMode != "batch" || st.Workers != 2 {
+	if st.SpecHash != "abc" || st.Workers != 2 {
 		t.Errorf("static fields lost: %+v", st)
 	}
 	if st.ActiveWorkers != 0 || st.ActiveBatches != 0 {

@@ -4,9 +4,9 @@ import "uavres/internal/mathx"
 
 // PropagateSymLoop runs the symmetric covariance propagation kernel
 // (P ← F P Fᵀ alone, with representative step blocks) n times and returns
-// the covariance trace so the work cannot be elided. It exists for
-// cmd/bench's in-process micro harness, which cannot reach the unexported
-// kernel; flight code never calls it.
+// the covariance trace so the work cannot be elided. It exists for the
+// micro-benchmark table (internal/microbench), which cannot reach the
+// unexported kernel; flight code never calls it.
 func PropagateSymLoop(n int) float64 {
 	f := New(DefaultConfig())
 	const dt = 0.004

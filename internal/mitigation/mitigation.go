@@ -6,7 +6,8 @@
 //
 // Each filter is deployable in a real flight stack: none requires ground
 // truth, all operate sample-by-sample with bounded memory, and the whole
-// pipeline adds nanoseconds per sample (see BenchmarkMicroMitigation).
+// pipeline adds nanoseconds per sample (see the Mitigation entry of
+// internal/microbench).
 package mitigation
 
 import (

@@ -224,6 +224,9 @@ func (s CampaignSpec) Validate() error {
 	if o := s.Overrides; o.CovDecimation != nil && *o.CovDecimation < 1 {
 		return fmt.Errorf("spec: cov_decimation %d < 1", *o.CovDecimation)
 	}
+	if o := s.Overrides; o.CovSettleSec != nil && *o.CovSettleSec < 0 {
+		return fmt.Errorf("spec: cov_settle_sec %g < 0", *o.CovSettleSec)
+	}
 	if o := s.Overrides; o.RNGPolicy != nil {
 		if _, err := mathx.ParseNormPolicy(*o.RNGPolicy); err != nil {
 			return fmt.Errorf("spec: %w", err)

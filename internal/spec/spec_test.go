@@ -57,6 +57,7 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		"seeds":     {Version: 1, Seeds: SeedPolicy{Kind: "fibonacci"}},
 		"mission":   {Version: 1, Missions: []int{99}},
 		"decim":     {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
+		"settle":    {Version: 1, Overrides: Overrides{CovSettleSec: f64p(-1)}},
 	} {
 		if _, err := s.Compile(mission.Valencia()); err == nil {
 			t.Errorf("%s: bad spec compiled without error", name)

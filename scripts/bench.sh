@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Performance report: micro-benchmarks (go test -bench=Micro -benchmem)
-# plus the cold-vs-checkpointed campaign timing, emitted as
-# BENCH_<date>.json by cmd/bench. Pass -missions 10 for the paper's full
-# 850-case campaign (the default slice is 2 missions / 170 cases).
+# Performance report: the micro-benchmark table (internal/microbench),
+# measured by cmd/bench and emitted as BENCH_<date>.json, plus the EKF
+# covariance-kernel comparison against its dense reference. End-to-end
+# campaign timing is perfbench's job (bash perfbench/run.sh).
 #
 # Regression gate:
 #   scripts/bench.sh -compare OLD.json NEW.json
@@ -12,15 +12,10 @@
 # on the micro — rows where either run's repetitions disagreed more than
 # the gate width are printed as noisy and skipped, since on a shared vCPU
 # steal time swamps real changes. Allocs/op always gates (deterministic).
-# ci.sh runs this automatically
-# against the committed baseline (override with BENCH_BASELINE). Each
-# report records the campaign spec hash (spec_hash) plus the execution
-# mode (runner_mode, batch_width, workers, cov_decimation), so campaign
-# wall clock is only compared across identical experiment plans run the
-# same way — mode mismatches are noted explicitly, never diffed. Reports
-# also record the host window (num_cpu, go_version); comparing across
-# differing hosts prints a loud WARNING since wall-clock deltas then
-# measure the machine, not the code.
+# ci.sh runs this automatically against the committed baseline (override
+# with BENCH_BASELINE). Reports record the host window (num_cpu,
+# go_version); comparing across differing hosts prints a loud WARNING
+# since ns/op deltas then measure the machine, not only the code.
 set -eu
 
 case "${1:-}" in
@@ -29,6 +24,5 @@ case "${1:-}" in
 	;;
 esac
 
-go test -run XXX -bench Micro -benchmem .
 go test -run XXX -bench 'Propagate|Transition' -benchmem ./internal/ekf/
 exec go run ./cmd/bench "$@"
