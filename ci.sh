@@ -5,9 +5,10 @@
 # runner's worker pool), a one-iteration micro-benchmark smoke (the hot
 # paths must at least still run; scripts/bench.sh measures them), spec
 # validation for the shipped example campaign specs, the runner oracle
-# (the default runner's results on the hexa actuator mini-spec and
-# mission 1's gyro cases must equal straight sim.Run flights case by
-# case), and the end-to-end smokes: a mini spec-driven campaign must
+# (the default runner's results on the hexa actuator mini-spec, mission
+# 1's gyro cases, and mission 1 of the gyro-threshold sweep must equal
+# straight sim.Run flights case by case), and the end-to-end smokes: a
+# sweep spec must print the sweep table, a mini spec-driven campaign must
 # emit a metrics snapshot that passes the schema validator, re-running
 # it with -resume over the completed results file must execute zero
 # cases, the observability surface (trace-event export, live status
@@ -26,14 +27,13 @@ go vet ./...
 # Simulation-aware lint over the whole module, stale suppressions
 # included; the machine-readable report lands next to the other CI
 # artifacts. goroutinespawn inside the suite enforces that sim-critical
-# packages (sweep among them) spawn no goroutines, so no grep gate is
-# needed. On findings, replay the report for humans and fail.
+# packages spawn no goroutines, so no grep gate is needed. On findings, replay the report for humans and fail.
 go run ./cmd/uavlint -unused-suppressions -json ./... >"$tmpdir/lint.json" || {
 	cat "$tmpdir/lint.json" >&2
 	exit 1
 }
 go test ./...
-go test -race ./internal/telemetry/ ./internal/sweep/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/ ./cmd/campaignd/
+go test -race ./internal/telemetry/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/ ./cmd/campaignd/
 go test -run XXX -bench Micro -benchtime=1x -benchmem .
 
 # Example campaign specs stay loadable and compilable.
@@ -43,12 +43,24 @@ go run ./cmd/campaign -validate-spec examples/specs/mini-grid.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-grid-wide.json
 go run ./cmd/campaign -validate-spec examples/specs/redundancy-matrix.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-hexa-actuator.json
+go run ./cmd/campaign -validate-spec examples/specs/sweep-start.json
+go run ./cmd/campaign -validate-spec examples/specs/sweep-duration.json
+go run ./cmd/campaign -validate-spec examples/specs/sweep-gyro-threshold.json
+go run ./cmd/campaign -validate-spec examples/specs/sweep-risk.json
 
 # Runner oracle: the hexa actuator mini-spec (rotor FDI and allocation
-# reconfig enabled) and mission 1's gyro cases, run through the default
+# reconfig enabled), mission 1's gyro cases, and mission 1 of the
+# gyro-threshold sweep (one case per config variant), run through the default
 # runner (shared prefixes, forks, lockstep batches), must equal straight
 # sim.Run flights case by case, full results compared.
 go test -count=1 -run 'TestDefaultRunnerMatchesSimRun' ./internal/core/
+
+# Sweep smoke: one mission of the gyro-threshold sweep spans four config
+# variants, so the campaign must print the sweep table.
+go run ./cmd/campaign -spec examples/specs/sweep-gyro-threshold.json -select mission=1 -q \
+	-out "$tmpdir/sweep.json" | tee "$tmpdir/sweep.log"
+grep -q '^SWEEP:' "$tmpdir/sweep.log"
+grep -q '{"gyro_threshold_deg_s":240}' "$tmpdir/sweep.log"
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the

@@ -406,8 +406,11 @@ func run() int {
 	fmt.Println(core.RenderTableII(results))
 	fmt.Println(core.RenderTableIII(results))
 	fmt.Println(core.RenderTableIV(results))
-	if multiAirframe(results) {
+	if core.SpansAirframes(results) {
 		fmt.Println(core.RenderAirframeTable(results))
+	}
+	if sweep := core.RenderSweepTable(results); sweep != "" {
+		fmt.Println(sweep)
 	}
 	if *specPath == "" && len(selectors) == 0 && !ablation {
 		// Shape comparison is only meaningful on the paper's full setup.
@@ -566,14 +569,4 @@ func compareResultsFiles(pair string) int {
 	}
 	fmt.Printf("campaign: %d cases bit-identical\n", len(ra))
 	return 0
-}
-
-// multiAirframe reports whether the results span more than one rotor
-// layout — only then is the redundancy table worth printing unasked.
-func multiAirframe(results []core.CaseResult) bool {
-	seen := map[string]bool{}
-	for _, cr := range results {
-		seen[cr.Case.Airframe] = true
-	}
-	return len(seen) > 1
 }

@@ -47,8 +47,11 @@ func run() int {
 		fmt.Println(core.RenderTableII(results))
 		fmt.Println(core.RenderTableIII(results))
 		fmt.Println(core.RenderTableIV(results))
-		if multiAirframe(results) {
+		if core.SpansAirframes(results) {
 			fmt.Println(core.RenderAirframeTable(results))
+		}
+		if sweep := core.RenderSweepTable(results); sweep != "" {
+			fmt.Println(sweep)
 		}
 	case 2:
 		fmt.Println(core.RenderTableII(results))
@@ -72,14 +75,4 @@ func run() int {
 		fmt.Println(paperdata.SideBySide(paperdata.TableIII(), measured))
 	}
 	return 0
-}
-
-// multiAirframe reports whether the results span more than one rotor
-// layout — only then is the redundancy table worth printing unasked.
-func multiAirframe(results []core.CaseResult) bool {
-	seen := map[string]bool{}
-	for _, cr := range results {
-		seen[cr.Case.Airframe] = true
-	}
-	return len(seen) > 1
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -113,7 +113,7 @@ func ByDuration(results []CaseResult) []GroupStats {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	out := make([]GroupStats, 0, len(durs))
 	for _, d := range durs {
-		out = append(out, aggregate(fmt.Sprintf("%d seconds", int(d.Seconds())), groups[d]))
+		out = append(out, aggregate(FormatSec(d.Seconds())+" seconds", groups[d]))
 	}
 	return out
 }
@@ -206,6 +206,66 @@ func ByAirframe(results []CaseResult) []GroupStats {
 		out = append(out, aggregate(label, groups[label]))
 	}
 	return out
+}
+
+// BySweep groups runs along the sweep axes a spec can span: one row per
+// injection start ("T+30 s", faulty runs, ascending) when the results
+// span more than one start, then one row per config variant (the compact
+// JSON of Case.Overrides, all runs, ascending by value) when they span
+// more than one variant. Results on one start and one variant yield no
+// rows.
+func BySweep(results []CaseResult) []GroupStats {
+	gold, faulty := ok(results)
+	starts := map[time.Duration][]sim.Result{}
+	for _, cr := range faulty {
+		st := cr.Case.Injection.Start
+		starts[st] = append(starts[st], cr.Result)
+	}
+	variants := map[string][]sim.Result{}
+	byKey := map[string]*Overrides{}
+	for _, cr := range append(gold, faulty...) {
+		k := variantKey(cr.Case.Overrides)
+		variants[k] = append(variants[k], cr.Result)
+		byKey[k] = cr.Case.Overrides
+	}
+	var out []GroupStats
+	if len(starts) > 1 {
+		keys := make([]time.Duration, 0, len(starts))
+		for st := range starts {
+			keys = append(keys, st)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		for _, st := range keys {
+			out = append(out, aggregate("T+"+FormatSec(st.Seconds())+" s", starts[st]))
+		}
+	}
+	if len(variants) > 1 {
+		keys := make([]string, 0, len(variants))
+		for k := range variants {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if c := slices.Compare(byKey[keys[i]].sortKey(), byKey[keys[j]].sortKey()); c != 0 {
+				return c < 0
+			}
+			return keys[i] < keys[j]
+		})
+		for _, k := range keys {
+			out = append(out, aggregate(k, variants[k]))
+		}
+	}
+	return out
+}
+
+// SpansAirframes reports whether the results span more than one rotor
+// layout — only then is the redundancy table worth printing unasked.
+func SpansAirframes(results []CaseResult) bool {
+	for _, cr := range results {
+		if cr.Case.Airframe != results[0].Case.Airframe {
+			return true
+		}
+	}
+	return false
 }
 
 func airframeRank(label string) int {

@@ -6,6 +6,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"uavres/internal/faultinject"
@@ -37,6 +39,11 @@ type Case struct {
 	// empty means the default quad-x, so pre-airframe plans and stored
 	// results keep their fingerprints.
 	Airframe string `json:"airframe,omitempty"`
+	// Overrides is the case's config variant, applied on top of the
+	// runner's base config (see spec.CampaignSpec.Variants); nil for
+	// every case of a spec without variants, so their fingerprints stay
+	// put.
+	Overrides *Overrides `json:"overrides,omitempty"`
 	// Hash is the case's content fingerprint: a stable digest of the
 	// experiment description plus the code-relevant simulation config
 	// (see internal/spec.Fingerprint). Cases planned outside the spec
@@ -123,6 +130,17 @@ func Slug(s string) string {
 		}
 	}
 	return string(out)
+}
+
+// FormatSec renders seconds compactly and uniquely: integers without a
+// decimal point (matching the legacy "%d" IDs), fractions as shortest
+// round-trip decimals. Case IDs and table labels share it.
+func FormatSec(v float64) string {
+	//lint:allow floatcmp exact integrality test on a spec-authored literal, not a computed value
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // CaseResult pairs a case with its outcome.

@@ -282,6 +282,67 @@ func TestRenderTables(t *testing.T) {
 	}
 }
 
+// TestByDurationFractionalLabels: fractional durations label with the
+// shortest round-trip form the case IDs use, integers keep the legacy
+// "2 seconds" labels paperdata.Compare looks up.
+func TestByDurationFractionalLabels(t *testing.T) {
+	var results []CaseResult
+	for _, d := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 2 * time.Second} {
+		results = append(results, mkResult(1, inj(faultinject.Zeros, faultinject.TargetAccel, d), sim.OutcomeCompleted, 0, 0, 480, 3))
+	}
+	rows := ByDuration(results)
+	want := []string{"0.5 seconds", "1.5 seconds", "2 seconds"}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for i, w := range want {
+		if rows[i].Label != w {
+			t.Errorf("row %d = %q, want %q", i, rows[i].Label, w)
+		}
+	}
+}
+
+// TestRenderSweepTable: one row per injection start and one per config
+// variant, variants ordered by value (not by their JSON text), with the
+// outer-violation column a risk sweep needs; a single start and variant
+// renders nothing.
+func TestRenderSweepTable(t *testing.T) {
+	at := func(start time.Duration, r float64, outer int) CaseResult {
+		in := inj(faultinject.Zeros, faultinject.TargetAccel, 10*time.Second)
+		in.Start = start
+		cr := mkResult(1, in, sim.OutcomeCompleted, 0, outer, 480, 3)
+		cr.Case.Overrides = &Overrides{RiskR: &r}
+		return cr
+	}
+	results := []CaseResult{
+		at(90*time.Second, 3, 1),
+		at(30*time.Second, 1.5, 2),
+		at(90*time.Second, 1, 7),
+	}
+	rows := BySweep(results)
+	want := []string{"T+30 s", "T+90 s", `{"risk_r":1}`, `{"risk_r":1.5}`, `{"risk_r":3}`}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for i, w := range want {
+		if rows[i].Label != w {
+			t.Errorf("row %d = %q, want %q", i, rows[i].Label, w)
+		}
+	}
+	if rows[2].OuterViolations != 7 || rows[4].OuterViolations != 1 {
+		t.Errorf("outer violations per variant = %v, %v; want 7, 1", rows[2].OuterViolations, rows[4].OuterViolations)
+	}
+	out := RenderSweepTable(results)
+	for _, w := range append(want, "SWEEP", "Outer (#)", "Failsafe (%)") {
+		if !strings.Contains(out, w) {
+			t.Errorf("sweep table missing %q:\n%s", w, out)
+		}
+	}
+	if got := RenderSweepTable(results[:1]); got != "" {
+		t.Errorf("single start and variant rendered a sweep table:\n%s", got)
+	}
+}
+
 // shortScenario is a miniature mission set for runner tests.
 func shortScenario() []mission.Mission {
 	return []mission.Mission{

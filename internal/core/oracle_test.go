@@ -15,15 +15,25 @@ import (
 // TestDefaultRunnerMatchesSimRun holds the one execution mode the runner
 // has — shared prefixes, checkpoint forks, lockstep batches — against the
 // simplest possible oracle: every case flown straight through sim.Run on
-// its own. Full results must be equal case by case. The two slices are
+// its own. Full results must be equal case by case. The three slices are
 // the hexa actuator mini-spec (rotor FDI and allocation reconfig, hexa
-// physics) and mission 1's gyro cases of the paper spec.
+// physics), mission 1's gyro cases of the paper spec, and mission 1 of
+// the gyro-threshold sweep (one case per config variant, so a prefix
+// shared across variants would fly the wrong threshold).
 func TestDefaultRunnerMatchesSimRun(t *testing.T) {
 	hexa, err := spec.Load("../../examples/specs/mini-hexa-actuator.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	threshold, err := spec.Load("../../examples/specs/sweep-gyro-threshold.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	gyro, err := spec.ParseSelector("mission=1,target=gyro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mission1, err := spec.ParseSelector("mission=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +45,7 @@ func TestDefaultRunnerMatchesSimRun(t *testing.T) {
 	}{
 		{"mini-hexa-actuator", hexa, nil, 4},
 		{"paper-mission1-gyro", spec.Paper(1), []spec.Selector{gyro}, 28},
+		{"sweep-gyro-threshold-mission1", threshold, []spec.Selector{mission1}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cases, err := tc.spec.Compile(mission.Valencia())
@@ -66,12 +77,15 @@ func TestDefaultRunnerMatchesSimRun(t *testing.T) {
 
 // straightRun flies one case straight through sim.Run with its config
 // built the way every entry point builds it: spec overrides, then the
-// case seed, then the case airframe.
+// case seed, then the case's config variant, then the case airframe.
 func straightRun(t *testing.T, s spec.CampaignSpec, c core.Case) sim.Result {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	s.Overrides.Apply(&cfg)
 	cfg.Seed = c.Seed
+	if c.Overrides != nil {
+		c.Overrides.Apply(&cfg)
+	}
 	if c.Airframe != "" {
 		frame, err := physics.ParseAirframe(c.Airframe)
 		if err != nil {

@@ -438,16 +438,18 @@ feed:
 }
 
 // prefixKey identifies the cases that can share one simulated prefix:
-// identical mission, environment seed, airframe, injection family,
-// injection scope, and injection start mean identical vehicle state up to
-// the injection point. The family matters because a sensor injector
-// overwrites affected units with the primary's sample even before its
-// window opens, while an actuator injector leaves the sensor stream
-// alone (see sim.Checkpoint.ForkWithInjection).
+// identical mission, environment seed, airframe, config variant,
+// injection family, injection scope, and injection start mean identical
+// vehicle state up to the injection point; a checkpoint bakes in its
+// config, so no fork ever crosses variants. The family matters because
+// a sensor injector overwrites affected units with the primary's sample
+// even before its window opens, while an actuator injector leaves the
+// sensor stream alone (see sim.Checkpoint.ForkWithInjection).
 type prefixKey struct {
 	missionID int
 	seed      int64
 	airframe  string
+	variant   string
 	actuator  bool
 	scope     faultinject.Scope
 	start     time.Duration
@@ -463,14 +465,15 @@ func casePrefixKey(c Case) prefixKey {
 		missionID: c.MissionID,
 		seed:      c.Seed,
 		airframe:  c.Airframe,
+		variant:   variantKey(c.Overrides),
 		actuator:  !c.Injection.SensorTarget(),
 		scope:     c.Injection.Scope,
 		start:     c.Injection.Start,
 	}
 }
 
-// sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
-// scope, start), the total order that makes prefix scheduling
+// sortPrefixKeys orders prefix keys by (mission, seed, airframe, variant,
+// family, scope, start), the total order that makes prefix scheduling
 // independent of map iteration order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
@@ -487,6 +490,9 @@ func lessPrefixKey(a, b prefixKey) bool {
 	}
 	if a.airframe != b.airframe {
 		return a.airframe < b.airframe
+	}
+	if a.variant != b.variant {
+		return a.variant < b.variant
 	}
 	if a.actuator != b.actuator {
 		return !a.actuator // sensor prefixes before actuator prefixes
@@ -773,12 +779,16 @@ func (r *Runner) runCase(c Case, cp *sim.Checkpoint) (CaseResult, bool) {
 }
 
 // caseConfig derives the simulation config for one case from the runner's
-// base config: the seed always comes from the case, and a non-empty
-// Airframe overrides the rotor layout. An empty Airframe keeps the base
-// config byte-for-byte, so legacy quad campaigns stay bit-identical.
+// base config: the seed always comes from the case, a config variant is
+// folded in on top, and a non-empty Airframe overrides the rotor layout.
+// A case with neither keeps the base config byte-for-byte, so legacy quad
+// campaigns stay bit-identical.
 func (r *Runner) caseConfig(c Case) (sim.Config, error) {
 	cfg := r.Config
 	cfg.Seed = c.Seed
+	if c.Overrides != nil {
+		c.Overrides.Apply(&cfg)
+	}
 	if c.Airframe != "" {
 		frame, err := physics.ParseAirframe(c.Airframe)
 		if err != nil {

@@ -39,8 +39,7 @@ func RenderTableIII(results []CaseResult) string {
 func RenderTableIV(results []CaseResult) string {
 	var b strings.Builder
 	b.WriteString("TABLE IV: Mission failure analysis.\n")
-	fmt.Fprintf(&b, "%-20s %26s %10s %13s\n",
-		"Injection Type", "Total Missions Failed (%)", "Crash (%)", "Failsafe (%)")
+	writeFailureHeader(&b, "Injection Type")
 	writeFailureRow(&b, GoldStats(results))
 	for _, row := range ByDuration(results) {
 		writeFailureRow(&b, row)
@@ -63,8 +62,41 @@ func RenderAirframeTable(results []CaseResult) string {
 	for _, row := range rows {
 		writeMetricRow(&b, row)
 	}
-	fmt.Fprintf(&b, "%-20s %26s %10s %13s\n",
-		"Airframe", "Total Missions Failed (%)", "Crash (%)", "Failsafe (%)")
+	writeFailureHeader(&b, "Airframe")
+	for _, row := range rows {
+		writeFailureRow(&b, row)
+	}
+	return b.String()
+}
+
+// RenderSweepTable renders the sweep comparison — the BySweep rows, per
+// injection start and per config variant — with the metric summary and
+// the crash/failsafe split. It returns "" when the results span a single
+// start and a single variant, so callers print it unasked only for
+// sweeps.
+func RenderSweepTable(results []CaseResult) string {
+	rows := BySweep(results)
+	if len(rows) == 0 {
+		return ""
+	}
+	// Variant labels outgrow the usual key column: pad every label to the
+	// longest so the columns stay aligned.
+	key := "Start / Variant"
+	width := len(key)
+	for _, row := range rows {
+		width = max(width, len(row.Label))
+	}
+	key = fmt.Sprintf("%-*s", width, key)
+	for i := range rows {
+		rows[i].Label = fmt.Sprintf("%-*s", width, rows[i].Label)
+	}
+	var b strings.Builder
+	b.WriteString("SWEEP: Average summary of all missions and faults, grouped by injection start and by config variant.\n")
+	writeMetricHeader(&b, key)
+	for _, row := range rows {
+		writeMetricRow(&b, row)
+	}
+	writeFailureHeader(&b, key)
 	for _, row := range rows {
 		writeFailureRow(&b, row)
 	}
@@ -79,6 +111,11 @@ func writeMetricHeader(b *strings.Builder, keyCol string) {
 func writeMetricRow(b *strings.Builder, g GroupStats) {
 	fmt.Fprintf(b, "%-20s %10.2f %10.2f %14.2f%% %15.2f %14.2f\n",
 		g.Label, g.InnerViolations, g.OuterViolations, g.CompletedPct, g.DurationSec, g.DistanceKm)
+}
+
+func writeFailureHeader(b *strings.Builder, keyCol string) {
+	fmt.Fprintf(b, "%-20s %26s %10s %13s\n",
+		keyCol, "Total Missions Failed (%)", "Crash (%)", "Failsafe (%)")
 }
 
 func writeFailureRow(b *strings.Builder, g GroupStats) {

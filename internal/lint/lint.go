@@ -98,7 +98,7 @@ func All() []Analyzer {
 // simulation stack plus the plan/merge layers. MapIter applies here.
 var simCriticalPkgs = map[string]bool{
 	"sim": true, "ekf": true, "spec": true,
-	"core": true, "sweep": true, "faultinject": true,
+	"core": true, "faultinject": true,
 }
 
 // goroutineFreePkgs lists the internal packages allowed to own

@@ -11,7 +11,7 @@ import (
 )
 
 // MapIter flags range statements over maps in the sim-critical packages
-// (internal/{sim,ekf,spec,core,sweep,faultinject}). Go randomizes map
+// (internal/{sim,ekf,spec,core,faultinject}). Go randomizes map
 // iteration order per run, so anything order-sensitive built from a map
 // range — compiled case order, merged results, error messages, prefix
 // scheduling — differs between two executions of the same seed, which is

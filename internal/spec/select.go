@@ -205,12 +205,6 @@ func ParseSelector(expr string) (Selector, error) {
 	return s, nil
 }
 
-// SubstringSelector converts the deprecated -subset substring syntax to
-// an equivalent glob selector.
-func SubstringSelector(substr string) Selector {
-	return Selector{ID: "*" + substr + "*"}
-}
-
 // parseSeconds accepts either a bare number of seconds ("10", "2.5") or
 // a Go duration ("10s", "1m30s").
 func parseSeconds(s string) (float64, error) {

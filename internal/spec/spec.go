@@ -25,10 +25,8 @@ import (
 
 	"uavres/internal/core"
 	"uavres/internal/faultinject"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/physics"
-	"uavres/internal/sim"
 )
 
 // Version is the spec schema version this package compiles.
@@ -67,6 +65,13 @@ type CampaignSpec struct {
 	Seeds SeedPolicy `json:"seeds,omitempty"`
 	// Overrides adjusts the simulation config for every case.
 	Overrides Overrides `json:"overrides,omitempty"`
+	// Variants repeats every case once per element, each applied on top
+	// of Overrides: the config sweep axis (gyro threshold, risk R, ...).
+	// Variant i suffixes case IDs with "-v<i>", keeps the mission's
+	// environment seed (the comparison varies the config, not the
+	// weather), and rides along as Case.Overrides. Empty means one
+	// unsuffixed copy of every case with nil Case.Overrides.
+	Variants []Overrides `json:"variants,omitempty"`
 	// Select keeps only matching cases (OR across selectors; empty
 	// keeps everything).
 	Select []Selector `json:"select,omitempty"`
@@ -116,55 +121,9 @@ type SeedPolicy struct {
 	InjOffset int64 `json:"inj_offset,omitempty"`
 }
 
-// Overrides are the spec-addressable simulation-config knobs. Pointers
-// distinguish "leave the default" (null) from an explicit value.
-type Overrides struct {
-	// GyroThresholdDegS overrides the failsafe gyro-rate threshold
-	// (paper default 60 deg/s).
-	GyroThresholdDegS *float64 `json:"gyro_threshold_deg_s,omitempty"`
-	// RiskR overrides the outer-bubble risk factor (paper: 1).
-	RiskR *float64 `json:"risk_r,omitempty"`
-	// CovDecimation overrides the EKF covariance decimation factor.
-	CovDecimation *int `json:"cov_decimation,omitempty"`
-	// CovSettleSec overrides the post-fault full-rate settle window.
-	CovSettleSec *float64 `json:"cov_settle_sec,omitempty"`
-	// RedundancyVoting toggles cross-IMU consistency voting.
-	RedundancyVoting *bool `json:"redundancy_voting,omitempty"`
-	// RNGPolicy selects the environment normal-deviate sampler: "polar"
-	// (default, bit-compatible with recorded campaigns) or "ziggurat"
-	// (see mathx.ParseNormPolicy).
-	RNGPolicy *string `json:"rng_policy,omitempty"`
-	// RotorReconfig, when true, arms the per-rotor FDI monitor and the
-	// reconfiguring control allocator (mitigation.RotorDefaults) — the
-	// mitigation actuator faults need. Omitted or false leaves the legacy
-	// sensor-only pipeline (and its fingerprints) untouched.
-	RotorReconfig *bool `json:"rotor_reconfig,omitempty"`
-}
-
-// Apply folds the overrides into a simulation config.
-func (o Overrides) Apply(cfg *sim.Config) {
-	if o.RNGPolicy != nil {
-		cfg.RNGPolicy = *o.RNGPolicy
-	}
-	if o.GyroThresholdDegS != nil {
-		cfg.Failsafe.GyroRateThreshold = mathx.Deg2Rad(*o.GyroThresholdDegS)
-	}
-	if o.RiskR != nil {
-		cfg.RiskR = *o.RiskR
-	}
-	if o.CovDecimation != nil {
-		cfg.EKF.CovarianceDecimation = *o.CovDecimation
-	}
-	if o.CovSettleSec != nil {
-		cfg.CovSettleSec = *o.CovSettleSec
-	}
-	if o.RedundancyVoting != nil {
-		cfg.RedundancyVoting = *o.RedundancyVoting
-	}
-	if o.RotorReconfig != nil && *o.RotorReconfig {
-		cfg.Mitigation = cfg.Mitigation.RotorDefaults()
-	}
-}
+// Overrides are the spec-addressable simulation-config knobs; they live
+// in core so a compiled case can carry its config variant.
+type Overrides = core.Overrides
 
 // Paper returns the canonical built-in spec: the paper's 850-case design
 // (21 injection types x 10 missions x 4 durations at T+90 s, plus one
@@ -221,15 +180,16 @@ func (s CampaignSpec) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown seed policy %q (want mixed or affine)", s.Seeds.Kind)
 	}
-	if o := s.Overrides; o.CovDecimation != nil && *o.CovDecimation < 1 {
-		return fmt.Errorf("spec: cov_decimation %d < 1", *o.CovDecimation)
+	if err := s.Overrides.Validate(); err != nil {
+		return fmt.Errorf("spec: overrides: %w", err)
 	}
-	if o := s.Overrides; o.CovSettleSec != nil && *o.CovSettleSec < 0 {
-		return fmt.Errorf("spec: cov_settle_sec %g < 0", *o.CovSettleSec)
-	}
-	if o := s.Overrides; o.RNGPolicy != nil {
-		if _, err := mathx.ParseNormPolicy(*o.RNGPolicy); err != nil {
-			return fmt.Errorf("spec: %w", err)
+	for i, v := range s.Variants {
+		if err := v.Validate(); err != nil {
+			return fmt.Errorf("spec: variant %d: %w", i, err)
+		}
+		// A results header records one RNG policy per file.
+		if v.RNGPolicy != nil {
+			return fmt.Errorf("spec: variant %d: rng_policy is campaign-wide; set it in overrides", i)
 		}
 	}
 	for i, sel := range s.Select {
@@ -448,11 +408,30 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 			}
 		}
 	}
+	cases = s.expandVariants(cases)
 	cases = ApplySelectors(cases, s.Select)
 	if err := checkUniqueIDs(cases); err != nil {
 		return nil, err
 	}
 	return cases, nil
+}
+
+// expandVariants repeats every case once per config variant, in variant
+// order; without variants the cases pass through untouched.
+func (s CampaignSpec) expandVariants(cases []core.Case) []core.Case {
+	if len(s.Variants) == 0 {
+		return cases
+	}
+	out := make([]core.Case, 0, len(cases)*len(s.Variants))
+	for _, c := range cases {
+		for i := range s.Variants {
+			v := c
+			v.ID = fmt.Sprintf("%s-v%d", c.ID, i)
+			v.Overrides = &s.Variants[i]
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // selectMissions resolves the spec's mission IDs against the scenario,
@@ -511,9 +490,9 @@ func parseAirframes(names []string) ([]physics.Airframe, error) {
 // starts append "-tNNs" so grid specs stay collision-free.
 func caseID(missionID int, target faultinject.Target, prim faultinject.Primitive, dur, start time.Duration) string {
 	id := fmt.Sprintf("m%02d-%s-%s-%ss", missionID,
-		core.Slug(target.String()), core.Slug(prim.String()), formatSec(dur.Seconds()))
+		core.Slug(target.String()), core.Slug(prim.String()), core.FormatSec(dur.Seconds()))
 	if start != PaperStartSec*time.Second {
-		id += "-t" + formatSec(start.Seconds()) + "s"
+		id += "-t" + core.FormatSec(start.Seconds()) + "s"
 	}
 	return id
 }
@@ -523,22 +502,11 @@ func caseID(missionID int, target faultinject.Target, prim faultinject.Primitive
 // as sensor cases.
 func actuatorCaseID(missionID, rotor int, prim faultinject.Primitive, dur, start time.Duration) string {
 	id := fmt.Sprintf("m%02d-r%d-%s-%ss", missionID,
-		rotor, core.Slug(prim.String()), formatSec(dur.Seconds()))
+		rotor, core.Slug(prim.String()), core.FormatSec(dur.Seconds()))
 	if start != PaperStartSec*time.Second {
-		id += "-t" + formatSec(start.Seconds()) + "s"
+		id += "-t" + core.FormatSec(start.Seconds()) + "s"
 	}
 	return id
-}
-
-// formatSec renders seconds compactly and uniquely: integers without a
-// decimal point (matching the legacy "%d" IDs), fractions as shortest
-// round-trip decimals.
-func formatSec(v float64) string {
-	//lint:allow floatcmp exact integrality test on a spec-authored literal, not a computed value
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func secToDuration(v float64) time.Duration {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,6 +59,16 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		"mission":   {Version: 1, Missions: []int{99}},
 		"decim":     {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
 		"settle":    {Version: 1, Overrides: Overrides{CovSettleSec: f64p(-1)}},
+		// bubble.NewOuter would silently clamp R < 1 to 1, and a
+		// non-positive threshold trips the failsafe on every sample.
+		"risk":              {Version: 1, Overrides: Overrides{RiskR: f64p(0.5)}},
+		"threshold":         {Version: 1, Overrides: Overrides{GyroThresholdDegS: f64p(-5)}},
+		"threshold zero":    {Version: 1, Overrides: Overrides{GyroThresholdDegS: f64p(0)}},
+		"variant risk":      {Version: 1, Variants: []Overrides{{RiskR: f64p(1)}, {RiskR: f64p(0.5)}}},
+		"variant threshold": {Version: 1, Variants: []Overrides{{GyroThresholdDegS: f64p(0)}}},
+		"variant decim":     {Version: 1, Variants: []Overrides{{CovDecimation: intp(0)}}},
+		// A results header records one RNG policy per file.
+		"variant rng": {Version: 1, Variants: []Overrides{{RNGPolicy: strp("polar")}}},
 	} {
 		if _, err := s.Compile(mission.Valencia()); err == nil {
 			t.Errorf("%s: bad spec compiled without error", name)
@@ -322,22 +333,65 @@ func TestParseSelector(t *testing.T) {
 	}
 }
 
-func TestSubstringSelectorMatchesLegacySubset(t *testing.T) {
-	cases, err := Paper(1).Compile(nil)
+// TestCompileVariants: every case repeats once per variant with an
+// "-v<i>" ID suffix, the mission's environment seed, the same injection,
+// and the variant riding along as Case.Overrides, so fingerprints differ
+// per variant. A spec without variants compiles cases whose JSON carries
+// no overrides key at all.
+func TestCompileVariants(t *testing.T) {
+	base := CampaignSpec{
+		Version:  1,
+		Missions: []int{1},
+		Matrix: Matrix{
+			Targets:      []string{"gyro"},
+			Primitives:   []string{"noise"},
+			DurationsSec: []float64{10},
+		},
+	}
+	plain, err := base.Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, substr := range []string{"m04", "gyro", "freeze-10s"} {
-		sel := SubstringSelector(substr)
-		var want int
-		for _, c := range cases {
-			if strings.Contains(c.ID, substr) {
-				want++
-			}
+	for _, c := range plain {
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := len(ApplySelectors(cases, []Selector{sel})); got != want {
-			t.Errorf("subset %q: selector matched %d, substring matches %d", substr, got, want)
+		if c.Overrides != nil || strings.Contains(string(data), "overrides") {
+			t.Errorf("%s: variant-free case carries overrides: %s", c.ID, data)
 		}
+	}
+
+	swept := base
+	swept.Variants = []Overrides{{GyroThresholdDegS: f64p(30)}, {GyroThresholdDegS: f64p(120)}}
+	cases, err := swept.Compile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cases) != 2*len(plain) {
+		t.Fatalf("compiled %d cases, want %d", len(cases), 2*len(plain))
+	}
+	AttachFingerprints(cases, sim.DefaultConfig())
+	AttachFingerprints(plain, sim.DefaultConfig())
+	hashes := map[string]bool{}
+	for _, c := range plain {
+		hashes[c.Hash] = true
+	}
+	for i, c := range cases {
+		src, v := plain[i/2], i%2
+		if want := fmt.Sprintf("%s-v%d", src.ID, v); c.ID != want {
+			t.Errorf("case %d: ID %q, want %q", i, c.ID, want)
+		}
+		if c.Seed != src.Seed || !reflect.DeepEqual(c.Injection, src.Injection) {
+			t.Errorf("%s: seed or injection differs from %s", c.ID, src.ID)
+		}
+		if c.Overrides == nil || *c.Overrides.GyroThresholdDegS != *swept.Variants[v].GyroThresholdDegS {
+			t.Errorf("%s: overrides %+v, want variant %d", c.ID, c.Overrides, v)
+		}
+		if hashes[c.Hash] {
+			t.Errorf("%s: fingerprint %s collides", c.ID, c.Hash)
+		}
+		hashes[c.Hash] = true
 	}
 }
 
@@ -495,6 +549,24 @@ func TestExampleSpecsCompile(t *testing.T) {
 	for _, c := range cases {
 		if c.Injection == nil || c.Injection.Scope != faultinject.ScopePrimaryUnit {
 			t.Fatalf("case %s is not primary-unit scoped", c.ID)
+		}
+	}
+
+	// The sweep specs fly every mission once per swept value.
+	for _, sweep := range []struct {
+		name   string
+		values int
+	}{{"sweep-start", 7}, {"sweep-duration", 6}, {"sweep-gyro-threshold", 4}, {"sweep-risk", 4}} {
+		s, err := Load("../../examples/specs/" + sweep.name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases, err := s.Compile(mission.Valencia())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cases) != 10*sweep.values {
+			t.Errorf("%s: %d cases, want %d", sweep.name, len(cases), 10*sweep.values)
 		}
 	}
 }
